@@ -27,6 +27,7 @@ from . import containers as cmod
 from . import power as pmod
 from .errors import AgentError, ProbeUnavailable
 from .metrics import Sample, samples_csv_bytes
+from .serving import ServerThread
 
 PROTOCOL_VERSION = 1
 _LEN_PREFIX = struct.Struct(">Q")
@@ -277,6 +278,8 @@ def _error(code: str, detail: str) -> dict:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+
     def handle(self):
         state: AgentState = self.server.state
         line = self.rfile.readline()
@@ -323,22 +326,18 @@ class AgentServer:
         self._server = socketserver.ThreadingTCPServer((host, port), _Handler, bind_and_activate=True)
         self._server.daemon_threads = True
         self._server.state = self.state
-        self._thread: threading.Thread | None = None
+        self._runner = ServerThread(self._server)
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
     def start(self) -> "AgentServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        self._runner.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
+        self._runner.stop()
 
 
 class AgentClient:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 import click
 
@@ -30,6 +31,16 @@ EXIT_INCOMPARABLE = 3
 def _fail(message: str, code: int = EXIT_ERROR) -> "SystemExit":
     click.echo(f"error: {message}", err=True)
     return SystemExit(code)
+
+
+def _serve_until_interrupted(server) -> None:
+    """Run a started server until Ctrl-C, then stop it."""
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        server.stop()
+    raise SystemExit(EXIT_OK)
 
 
 def _parse_address(value: str) -> tuple[str, int]:
@@ -209,13 +220,9 @@ def cmd_list(commit_id, store_dir):
 @click.option("--spool", "spool_dir", default="agent-spool", show_default=True)
 def cmd_agent(host, port, spool_dir):
     """Run the testbed agent daemon (blocks until interrupted)."""
-    server = AgentServer(host, port, spool_dir)
+    server = AgentServer(host, port, spool_dir).start()
     click.echo(f"agent listening on {server.address[0]}:{server.address[1]}", err=True)
-    try:
-        server._server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
-    raise SystemExit(EXIT_OK)
+    _serve_until_interrupted(server)
 
 
 @cli.command("mock-sut")
@@ -224,16 +231,9 @@ def cmd_agent(host, port, spool_dir):
 @click.option("--port", default=8080, show_default=True)
 def cmd_mock_sut(profile, host, port):
     """Serve the bundled mock SUT (blocks until interrupted)."""
-    import time as _time
-
     sut = serve_mock_sut(profile, host, port)
     click.echo(f"mock SUT profile={profile} on {sut.base_url}", err=True)
-    try:
-        while True:
-            _time.sleep(3600)
-    except KeyboardInterrupt:
-        sut.stop()
-    raise SystemExit(EXIT_OK)
+    _serve_until_interrupted(sut)
 
 
 def main() -> None:

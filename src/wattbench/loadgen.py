@@ -15,6 +15,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Sequence
 
 import requests
@@ -74,11 +75,19 @@ class LoadResult:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse the declarative scenario file (key-value sections plus one
+    """Read and parse a scenario file; see parse_scenario."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"scenario file not found: {path}") from exc
+    return parse_scenario(text)
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse the declarative scenario text (key-value sections plus one
     [operation:<name>] section per operation)."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"scenario file not found: {path}")
+    parser.read_string(text)
     if "scenario" not in parser:
         raise ConfigError("scenario file needs a [scenario] section")
     section = parser["scenario"]
@@ -117,12 +126,14 @@ def _render_body(template: str, credential: dict[str, str]) -> str:
 
 
 class _VirtualUser(threading.Thread):
-    def __init__(self, index, scenario, target, deadline_fn, think_s, sink, sink_lock):
+    def __init__(self, index, scenario, target, t0, duration_ms, think_s, sink, sink_lock):
         super().__init__(daemon=True)
         self.index = index
         self.scenario = scenario
         self.target = target.rstrip("/")
-        self.deadline_fn = deadline_fn
+        self.t0 = t0
+        self.deadline = t0 + duration_ms / 1e3
+        self.duration_ms = duration_ms
         self.think_s = think_s
         self.sink = sink
         self.sink_lock = sink_lock
@@ -135,15 +146,16 @@ class _VirtualUser(threading.Thread):
         ops = itertools.cycle(self.scenario.operations)
         try:
             while True:
-                now_ms = self.deadline_fn()
-                if now_ms is None:
+                now_ms = int(round((time.monotonic() - self.t0) * 1e3))
+                if now_ms >= self.duration_ms:
                     break
                 op = next(ops)
                 record = self._execute(session, op, now_ms)
                 with self.sink_lock:
                     self.sink.append(record)
                 if self.think_s > 0:
-                    time.sleep(self.think_s)
+                    # think time never runs past the deadline
+                    time.sleep(max(0.0, min(self.think_s, self.deadline - time.monotonic())))
         finally:
             session.close()
 
@@ -194,13 +206,8 @@ def run_scenario(
     sink: list[RequestRecord] = []
     sink_lock = threading.Lock()
     t0 = time.monotonic()
-
-    def deadline_fn():
-        now_ms = int(round((time.monotonic() - t0) * 1e3))
-        return now_ms if now_ms < duration_ms else None
-
     threads = [
-        _VirtualUser(i, scenario, target, deadline_fn, think_ms / 1e3, sink, sink_lock)
+        _VirtualUser(i, scenario, target, t0, duration_ms, think_ms / 1e3, sink, sink_lock)
         for i in range(users)
     ]
     for t in threads:

@@ -18,6 +18,8 @@ import zlib
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .serving import ServerThread
+
 BASE_MEMORY_BYTES = 50 * 1024 * 1024
 
 _MASK64 = (1 << 64) - 1
@@ -58,6 +60,9 @@ def _make_token(seed: int, size: int) -> bytes:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out in separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK
+    disable_nagle_algorithm = True
     service: "MockSut" = None  # set per server instance
 
     def log_message(self, fmt, *args):  # keep stdout clean
@@ -107,7 +112,7 @@ class MockSut:
         self.profile = PROFILES[profile] if isinstance(profile, str) else profile
         handler = type("BoundHandler", (_Handler,), {"service": self})
         self._server = ThreadingHTTPServer((host, port), handler)
-        self._thread: threading.Thread | None = None
+        self._runner = ServerThread(self._server)
         self._cpu_seconds = 0.0
         self._requests = 0
         self._lock = threading.Lock()
@@ -134,15 +139,11 @@ class MockSut:
         return memory, cpu_usec
 
     def start(self) -> "MockSut":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        self._runner.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
+        self._runner.stop()
 
 
 def serve(profile: SutProfile | str, bind: str = "127.0.0.1", port: int = 0) -> MockSut:

@@ -88,7 +88,7 @@ def parse_sut_spec(spec: str, commit_id: str) -> SutRef:
     adapter, _, arg = spec.partition(":")
     if adapter == "mock":
         profile = arg or "v1"
-        if profile not in mocksut.PROFILES and profile != "custom":
+        if profile not in mocksut.PROFILES:
             raise ConfigError(f"unknown mock SUT profile: {profile!r}")
         return SutRef(commit_id, (f"mock/{profile}",), {"adapter": "mock", "profile": profile})
     if adapter == "docker":
@@ -382,6 +382,8 @@ class Orchestrator:
         return amod.AgentClient(*server.address), server
 
     def execute_run(self, plan: TestPlan, sut: SutRef, repetition_index: int = 0) -> RunRecord:
+        # a bad scenario must fail before anything is deployed or started
+        scenario = lmod.parse_scenario(plan.scenario_text)
         run_id = f"{sut.commit_id}-r{repetition_index}-{uuid.uuid4().hex[:8]}"
         record = RunRecord(
             run_id=run_id,
@@ -414,7 +416,6 @@ class Orchestrator:
                 return self._finish_invalid(record, f"agent_lost: {exc}", files)
             record.wall_clock_anchor = start_reply.get("anchor", "")
 
-            scenario = self._scenario_from_plan(plan)
             try:
                 load_result = lmod.run_scenario(
                     scenario,
@@ -427,6 +428,10 @@ class Orchestrator:
             except TargetDown as exc:
                 self._try_stop(client, run_id)
                 return self._finish_invalid(record, f"target_down: {exc}", files)
+            except BaseException:
+                # an agent left running would refuse every later run as busy
+                self._try_stop(client, run_id)
+                raise
 
             try:
                 stop_reply = client.stop(run_id)
@@ -459,18 +464,6 @@ class Orchestrator:
 
         max_range = int(config["power"].get("max_range_uj", DEFAULT_MAX_RANGE_UJ))
         return [{"kind": kind, "max_range_uj": max_range} for kind in config["domains"]]
-
-    def _scenario_from_plan(self, plan: TestPlan) -> lmod.Scenario:
-        import io
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-            fh.write(plan.scenario_text)
-            tmp = fh.name
-        try:
-            return lmod.load_scenario(tmp)
-        finally:
-            os.unlink(tmp)
 
     @staticmethod
     def _try_stop(client, run_id: str) -> None:

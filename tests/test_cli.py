@@ -110,6 +110,15 @@ class TestRunCommand:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_unknown_mock_profile_exits_two_before_deploying(self, workspace, tmp_path):
+        result = run_cli(
+            "run", str(workspace / "plan.ini"), "--sut", "mock:custom",
+            "--commit", "c", "--store", str(tmp_path / "store"),
+        )
+        assert result.returncode == 2
+        assert "unknown mock SUT profile" in result.stderr
+        assert not (tmp_path / "store").exists()
+
     def test_unknown_sut_adapter_exits_two(self, workspace, tmp_path):
         result = run_cli(
             "run", str(workspace / "plan.ini"), "--sut", "vm:image",

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from wattbench.loadgen import (
     RequestRecord,
     Scenario,
     load_scenario,
+    parse_scenario,
     read_records_csv,
     records_csv_bytes,
     run_scenario,
@@ -70,6 +72,9 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError):
             load_scenario(str(path))
 
+    def test_text_parses_like_the_file(self, scenario):
+        assert parse_scenario(SCENARIO_TEXT) == scenario
+
     def test_negative_think_time_rejected(self):
         with pytest.raises(ConfigError):
             Scenario([Operation("x", "GET", "/")], think_time_ms=-1)
@@ -123,6 +128,11 @@ class TestRunScenario:
     def test_unreachable_target_rejected_before_starting(self, scenario):
         with pytest.raises(TargetDown):
             run_scenario(scenario, 1, 500, 100, "http://127.0.0.1:1")
+
+    def test_think_time_does_not_run_past_the_deadline(self, scenario, sut):
+        started = time.monotonic()
+        run_scenario(scenario, 2, 1000, 0, sut.base_url, think_time_ms=100)
+        assert (time.monotonic() - started) * 1e3 < 1000 + 60
 
     def test_bad_parameters_rejected(self, scenario, sut):
         with pytest.raises(ValueError):

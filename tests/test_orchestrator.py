@@ -1,5 +1,7 @@
 import pytest
 
+from wattbench import loadgen
+from wattbench.agent import AgentClient, AgentServer
 from wattbench.analytics import aggregate_run
 from wattbench.errors import ConfigError, DeployError, PlanFailed
 from wattbench.orchestrator import (
@@ -142,6 +144,8 @@ class TestSutSpec:
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
             parse_sut_spec("mock:v9", "c")
+        with pytest.raises(ConfigError, match="unknown mock SUT profile"):
+            parse_sut_spec("mock:custom", "c")
         with pytest.raises(ConfigError):
             parse_sut_spec("docker:", "c")
         with pytest.raises(ConfigError):
@@ -217,6 +221,32 @@ class TestExecuteRun:
         summary = aggregate_run(store.load_run(record.run_id))
         # 30 W over the 1.5 s measurement phase
         assert summary.cpu_energy_j == pytest.approx(30.0 * 1.5, rel=0.15)
+
+
+class TestRemoteAgentLeftIdle:
+    @pytest.fixture
+    def agent(self, tmp_path):
+        server = AgentServer(spool_dir=str(tmp_path / "spool")).start()
+        yield server
+        server.stop()
+
+    def test_scenario_without_operations_fails_before_start(self, plan_dir, store, agent):
+        (plan_dir / "scenario.ini").write_text("[scenario]\nthink_time_ms = 100\n")
+        plan = load_test_plan(str(plan_dir / "plan.ini"))
+        orch = Orchestrator(store, agent_address=agent.address)
+        with pytest.raises(ConfigError):
+            orch.execute_run(plan, parse_sut_spec("mock:v1", "commit-g"))
+        assert AgentClient(*agent.address).health()["detail"] == "idle"
+
+    def test_load_generator_crash_stops_the_session(self, plan, store, agent, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("load generator crashed")
+
+        monkeypatch.setattr(loadgen, "run_scenario", crash)
+        orch = Orchestrator(store, agent_address=agent.address)
+        with pytest.raises(RuntimeError):
+            orch.execute_run(plan, parse_sut_spec("mock:v1", "commit-h"))
+        assert AgentClient(*agent.address).health()["detail"] == "idle"
 
 
 class TestExecutePlan:

@@ -60,9 +60,11 @@ def _make_token(seed: int, size: int) -> bytes:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # headers and body go out in separate writes; with Nagle on, the body
-    # waits for the client's delayed ACK
-    disable_nagle_algorithm = True
+    # Nagle stays on here, unlike in the agent. Headers and body go out in
+    # separate writes, so the body waits for the client's delayed ACK, about
+    # 40 ms on Linux. That wait is timer-bound and repeats closely; without it
+    # a zero-work loop runs CPU-bound and its throughput follows the host's
+    # speed, up to 1.7x apart between runs (see ROADMAP item 2).
     service: "MockSut" = None  # set per server instance
 
     def log_message(self, fmt, *args):  # keep stdout clean

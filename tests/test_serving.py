@@ -1,4 +1,4 @@
-"""Both servers stop at once and send replies without Nagle's delay."""
+"""Both servers stop at once; the agent sends replies without Nagle's delay."""
 
 import socket
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 import requests
 
-from wattbench import agent, mocksut
+from wattbench import agent
 from wattbench.agent import AgentClient, AgentServer
 from wattbench.mocksut import MockSut
 
@@ -21,13 +21,11 @@ def _agent(tmp_path):
     return server, server.address, lambda: AgentClient(*server.address).health()
 
 
-SERVERS = [pytest.param((_mock_sut, mocksut._Handler), id="mocksut"),
-           pytest.param((_agent, agent._Handler), id="agent")]
+SERVERS = [pytest.param(_mock_sut, id="mocksut"), pytest.param(_agent, id="agent")]
 
 
-@pytest.mark.parametrize("kind", SERVERS)
-def test_stop_returns_at_once_and_closes_the_port(kind, tmp_path):
-    make, _ = kind
+@pytest.mark.parametrize("make", SERVERS)
+def test_stop_returns_at_once_and_closes_the_port(make, tmp_path):
     server, address, request = make(tmp_path)
     request()
     started = time.monotonic()
@@ -37,9 +35,8 @@ def test_stop_returns_at_once_and_closes_the_port(kind, tmp_path):
         socket.create_connection(address, timeout=5).close()
 
 
-@pytest.mark.parametrize("kind", SERVERS)
-def test_accepted_socket_has_nodelay(kind, tmp_path, monkeypatch):
-    make, handler = kind
+def test_agent_accepted_socket_has_nodelay(tmp_path, monkeypatch):
+    handler = agent._Handler
     seen = []
     original_setup = handler.setup
 
@@ -48,7 +45,7 @@ def test_accepted_socket_has_nodelay(kind, tmp_path, monkeypatch):
         seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
     monkeypatch.setattr(handler, "setup", setup)
-    server, _, request = make(tmp_path)
+    server, _, request = _agent(tmp_path)
     try:
         request()
     finally:

@@ -19,14 +19,14 @@ import struct
 import tarfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import containers as cmod
 from . import power as pmod
 from .errors import AgentError, ProbeUnavailable
-from .metrics import Sample, samples_csv_bytes
+from .metrics import Sample, classify, samples_csv_bytes
 from .serving import ServerThread
 
 PROTOCOL_VERSION = 1
@@ -37,25 +37,116 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def default_backend_factory(config: dict):
-    """Build collector backends from a start_monitoring config dict."""
+def make_backends(config: dict, registry=None):
+    """Build the power and container-stats backends a start_monitoring
+    config names. Without a ``stats`` section, container stats come from
+    ``registry``, the live registry of an in-process deployment (or none)."""
     power_backend = pmod.make_power_backend(config.get("power", {"type": "rapl"}))
     stats_cfg = config.get("stats")
-    stats_backend = cmod.make_stats_backend(stats_cfg) if stats_cfg else None
-    host_cpu_fn = getattr(stats_backend, "host_cpu_usec", None)
-    return power_backend, stats_backend, host_cpu_fn
+    stats_backend = cmod.make_stats_backend(stats_cfg) if stats_cfg else registry
+    return power_backend, stats_backend
 
 
-@dataclass
 class _Session:
-    run_id: str
-    config: dict
-    stop_event: threading.Event = field(default_factory=threading.Event)
-    threads: list[threading.Thread] = field(default_factory=list)
-    probe: pmod.ProbeSession | None = None
-    monitor: cmod.MonitorSession | None = None
-    domains: dict = field(default_factory=dict)
-    anchor_wall_clock: str = ""
+    """One monitoring run. A single collector thread reads every energy
+    counter, every container's stats and host CPU once per tick; all of a
+    tick's readings share one timestamp."""
+
+    def __init__(self, run_id: str, power_backend, domains: dict, stats_backend,
+                 container_ids: list[str], interval_ms: int):
+        if interval_ms < 100:
+            raise ValueError("sampling interval must be >= 100 ms")
+        self.run_id = run_id
+        self.power_backend = power_backend
+        self.domains: dict[pmod.DomainKind, pmod.EnergyDomain] = domains
+        # containers are polled only when there are both a backend and ids
+        self.stats_backend = stats_backend if container_ids else None
+        self.container_ids = list(container_ids) if stats_backend is not None else []
+        self.interval_ms = interval_ms
+        self.readings: dict[pmod.DomainKind, list[pmod.CounterReading]] = {k: [] for k in domains}
+        self.samples: list[Sample] = []
+        self.snapshots: list[cmod.CpuShareSnapshot] = []
+        self.error: Exception | None = None
+        self.stop_event = threading.Event()
+        self.anchor_wall_clock = datetime.now(timezone.utc).isoformat()
+        self._thread = threading.Thread(target=self._collect, args=(time.monotonic(),),
+                                        daemon=True)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> str:
+        """Stop the collector; returns why the session is degraded, or ""."""
+        self.stop_event.set()
+        self._thread.join(timeout=30)
+        if self._thread.is_alive():
+            return "collector did not stop within 30 s"
+        if self.error is not None:
+            return f"{type(self.error).__name__}: {self.error}"
+        return ""
+
+    def _collect(self, t0: float) -> None:
+        """Read once per interval until the stop signal, then once more. The
+        first tick reads even when the signal is already set.
+
+        Timestamps come from the monotonic clock relative to ``t0``; jitter
+        is tolerated but readings are never back-dated.
+        """
+        stats = self.stats_backend
+        for backend in (self.power_backend, stats):
+            if hasattr(backend, "start"):
+                backend.start(t0)
+        host_cpu_fn = getattr(stats, "host_cpu_usec", None)
+        num_cpus = stats.num_cpus() if stats is not None else 1
+        mem_desc = classify("memory_usage")
+        cpu_desc = classify("cpu_utilization")
+        active = list(self.container_ids)
+        prev_usage: dict[str, tuple[int, int]] = {}
+        prev_host: tuple[int, int] | None = None
+        last_ts = -1
+        tick = 0
+        try:
+            while True:
+                now_ms = max(int(round((time.monotonic() - t0) * 1e3)), last_ts + 1)
+                last_ts = now_ms
+                for kind, domain in self.domains.items():
+                    raw = self.power_backend.read_uj(domain)
+                    self.readings[kind].append(pmod.CounterReading(now_ms, raw))
+                per_container: dict[str, float] = {}
+                for cid in list(active):
+                    try:
+                        memory, usage = stats.read(cid)
+                    except (FileNotFoundError, KeyError, OSError):
+                        active.remove(cid)  # the container is gone; keep polling the rest
+                        continue
+                    self.samples.append(Sample(now_ms, mem_desc, cid, float(memory)))
+                    if cid in prev_usage:
+                        p_ts, p_usage = prev_usage[cid]
+                        pct = cmod.cpu_percent_from_usage(
+                            usage - p_usage, (now_ms - p_ts) * 1e3, num_cpus
+                        )
+                        per_container[cid] = pct
+                        self.samples.append(Sample(now_ms, cpu_desc, cid, pct))
+                    prev_usage[cid] = (now_ms, usage)
+                if host_cpu_fn is not None:
+                    usec = host_cpu_fn()
+                    if prev_host is not None and per_container:
+                        host_pct = cmod.cpu_percent_from_usage(
+                            usec - prev_host[1], (now_ms - prev_host[0]) * 1e3, num_cpus
+                        )
+                        self.samples.append(Sample(now_ms, cpu_desc, cmod.HOST_ID, host_pct))
+                        self.snapshots.append(
+                            cmod.CpuShareSnapshot(now_ms, host_pct, per_container)
+                        )
+                    prev_host = (now_ms, usec)
+                if self.stop_event.is_set():
+                    break
+                tick += 1
+                delay = t0 + tick * self.interval_ms / 1e3 - time.monotonic()
+                if delay > 0:
+                    self.stop_event.wait(delay)
+        except Exception as exc:  # reported in the stop reply; the session is degraded
+            self.error = exc
 
 
 @dataclass
@@ -68,11 +159,16 @@ class _StoppedRun:
 
 class AgentState:
     """Session registry shared by all connection handlers; command handling
-    is serialized against session transitions by one lock."""
+    is serialized against session transitions by one lock.
 
-    def __init__(self, spool_dir: str, backend_factory=default_backend_factory):
+    ``registry`` is the live container registry of an in-process deployment;
+    sessions whose config has no ``stats`` section read container stats
+    from it.
+    """
+
+    def __init__(self, spool_dir: str, registry=None):
         self.spool_dir = Path(spool_dir)
-        self.backend_factory = backend_factory
+        self.registry = registry
         self.lock = threading.Lock()
         self.active: _Session | None = None
         self.stopped: dict[str, _StoppedRun] = {}
@@ -91,7 +187,7 @@ class AgentState:
             if run_id in self.stopped:
                 return _error("duplicate_run", f"run {run_id} already collected")
             try:
-                power_backend, stats_backend, host_cpu_fn = self.backend_factory(config)
+                power_backend, stats_backend = make_backends(config, self.registry)
                 discovered = power_backend.discover()
                 wanted = config.get("domains") or [k.value for k in discovered]
                 domains = {}
@@ -100,37 +196,14 @@ class AgentState:
                     if kind not in discovered:
                         raise ProbeUnavailable(f"domain {kind_name} not available")
                     domains[kind] = discovered[kind]
+                session = _Session(run_id, power_backend, domains, stats_backend,
+                                   config.get("containers") or [],
+                                   int(config.get("interval_ms", 1000)))
             except ProbeUnavailable as exc:
                 return _error("probe_unavailable", str(exc))
             except Exception as exc:
                 return _error("bad_config", str(exc))
-
-            interval_ms = int(config.get("interval_ms", 1000))
-            session = _Session(run_id, config)
-            session.domains = domains
-            session.anchor_wall_clock = datetime.now(timezone.utc).isoformat()
-            anchor = time.monotonic()
-
-            session.probe = pmod.ProbeSession(power_backend, list(domains.values()), interval_ms)
-            probe_thread = threading.Thread(
-                target=_swallow(session.probe.run), args=(session.stop_event, anchor), daemon=True
-            )
-            session.threads.append(probe_thread)
-
-            container_ids = config.get("containers") or []
-            if stats_backend is not None and container_ids:
-                session.monitor = cmod.MonitorSession(
-                    stats_backend, container_ids, interval_ms, host_cpu_fn
-                )
-                monitor_thread = threading.Thread(
-                    target=_swallow(session.monitor.run),
-                    args=(session.stop_event, anchor),
-                    daemon=True,
-                )
-                session.threads.append(monitor_thread)
-
-            for t in session.threads:
-                t.start()
+            session.start()
             self.active = session
         return _ok(detail="monitoring started", token=run_id, anchor=session.anchor_wall_clock)
 
@@ -140,17 +213,10 @@ class AgentState:
             if session is None or session.run_id != run_id:
                 return _error("not_found", f"no active session for run {run_id}")
             self.active = None
-        session.stop_event.set()
-        for t in session.threads:
-            t.join(timeout=30)
-        degraded = any(t.is_alive() for t in session.threads)
-        if session.probe and session.probe.error is not None:
-            degraded = True
-        if session.monitor and session.monitor.error is not None:
-            degraded = True
-
-        files, degraded_flush = _flush_session(session)
-        degraded = degraded or degraded_flush
+        error = session.stop()
+        files, flush_error = _flush_session(session)
+        error = error or flush_error
+        degraded = bool(error)
         manifest = [
             {
                 "relative_path": name,
@@ -171,6 +237,9 @@ class AgentState:
             detail="stopped",
             manifest=manifest,
             degraded=degraded,
+            error=error,
+            domains=[{"kind": kind.value, "max_range_uj": domain.max_range_uj}
+                     for kind, domain in session.domains.items()],
             anchor=session.anchor_wall_clock,
         )
 
@@ -185,45 +254,30 @@ class AgentState:
         return _ok(detail="archive follows", manifest=run.manifest, degraded=run.degraded), payload
 
 
-def _swallow(fn):
-    # collector errors are surfaced through session.error at stop time
-    def run(*args):
-        try:
-            fn(*args)
-        except Exception:
-            pass
-
-    return run
-
-
-def _flush_session(session: _Session) -> tuple[dict[str, bytes], bool]:
-    """Render collected readings into the canonical CSV files."""
+def _flush_session(session: _Session) -> tuple[dict[str, bytes], str]:
+    """Render collected readings into the canonical CSV files; the second
+    value says why attribution failed, or is ""."""
     files: dict[str, bytes] = {}
-    degraded = False
-    probe = session.probe
-    readings_by_kind = probe.readings if probe else {}
-    for kind, readings in readings_by_kind.items():
+    error = ""
+    for kind, readings in session.readings.items():
+        descriptor = classify(pmod.COUNTER_METRIC[kind.value])
         samples = [
-            Sample(r.timestamp_ms, _counter_descriptor(kind), cmod.HOST_ID, float(r.raw_uj))
-            for r in readings
+            Sample(r.timestamp_ms, descriptor, cmod.HOST_ID, float(r.raw_uj)) for r in readings
         ]
         files[f"power_{kind.value}.csv"] = samples_csv_bytes(samples)
 
-    monitor = session.monitor
-    if monitor is not None:
-        samples = list(monitor.result.samples)
+    if session.stats_backend is not None:
+        samples = list(session.samples)
         # attributed per-container power (origin: derived)
-        cpu_readings = readings_by_kind.get(pmod.DomainKind.CPU_PACKAGE, [])
-        if len(cpu_readings) >= 2 and monitor.result.snapshots:
+        cpu_readings = session.readings.get(pmod.DomainKind.CPU_PACKAGE, [])
+        if len(cpu_readings) >= 2 and session.snapshots:
             try:
                 trace = pmod.power_from_counters(
                     cpu_readings, session.domains[pmod.DomainKind.CPU_PACKAGE]
                 )
-                samples.extend(
-                    cmod.attributed_power_samples(trace.points, monitor.result.snapshots)
-                )
-            except Exception:
-                degraded = True
+                samples.extend(cmod.attributed_power_samples(trace.points, session.snapshots))
+            except Exception as exc:
+                error = f"attribution failed: {type(exc).__name__}: {exc}"
         # one resource file per monitored scope (containers plus, when host
         # monitoring is on, the reserved host scope)
         by_scope: dict[str, list] = {}
@@ -232,13 +286,7 @@ def _flush_session(session: _Session) -> tuple[dict[str, bytes], bool]:
         for scope_id, scope_samples in by_scope.items():
             scope_samples.sort(key=lambda s: (s.metric.name, s.timestamp_ms))
             files[f"container_{scope_id}.csv"] = samples_csv_bytes(scope_samples)
-    return files, degraded
-
-
-def _counter_descriptor(kind: pmod.DomainKind):
-    from .metrics import classify
-
-    return classify(pmod.COUNTER_METRIC[kind.value])
+    return files, error
 
 
 def deterministic_tar(files: dict[str, bytes]) -> bytes:
@@ -321,8 +369,8 @@ class AgentServer:
     """TCP agent serving one command per connection, concurrently."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, spool_dir: str = "agent-spool",
-                 backend_factory=default_backend_factory):
-        self.state = AgentState(spool_dir, backend_factory)
+                 registry=None):
+        self.state = AgentState(spool_dir, registry)
         self._server = socketserver.ThreadingTCPServer((host, port), _Handler, bind_and_activate=True)
         self._server.daemon_threads = True
         self._server.state = self.state

@@ -12,14 +12,13 @@ from __future__ import annotations
 import bisect
 import csv
 import os
-import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AttributionError, StaleProcess
-from .metrics import PhaseMark, Sample, SampleSeries, classify
+from .errors import AttributionError
+from .metrics import Sample, SampleSeries, classify
 
 HOST_ID = "host"
 
@@ -28,44 +27,10 @@ SHARE_EPSILON = 0.5
 
 
 @dataclass(frozen=True)
-class ContainerStat:
-    container_id: str
-    timestamp_ms: int
-    memory_bytes: int
-    cpu_usage_usec_cumulative: int
-
-
-@dataclass(frozen=True)
 class CpuShareSnapshot:
     timestamp_ms: int
     host_cpu_percent: float
     per_container_percent: dict[str, float]
-
-
-def resolve_container_of_process(pid: int, proc_root: str = "/proc") -> str:
-    """Map a pid to its container id via the process cgroup path.
-
-    Processes outside any container map to the reserved id ``host``.
-    """
-    cgroup_file = Path(proc_root) / str(pid) / "cgroup"
-    try:
-        text = cgroup_file.read_text()
-    except OSError as exc:
-        raise StaleProcess(f"pid {pid}: {exc}") from exc
-    return container_id_from_cgroup_path(text)
-
-
-_DOCKER_DIR = re.compile(r"/docker/([0-9a-f]{12,64})(?:/|$)")
-_DOCKER_SCOPE = re.compile(r"docker-([0-9a-f]{12,64})\.scope")
-
-
-def container_id_from_cgroup_path(cgroup_text: str) -> str:
-    for line in cgroup_text.splitlines():
-        path = line.rsplit(":", 1)[-1]
-        m = _DOCKER_DIR.search(path) or _DOCKER_SCOPE.search(path)
-        if m:
-            return m.group(1)
-    return HOST_ID
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +68,6 @@ class CgroupV2Backend:
                 usage_usec = int(value)
                 break
         return memory, usage_usec
-
-    def host_cpu_percent(self, dt_s: float) -> float | None:
-        return None  # derived from per-tick /proc/stat deltas by the poller
 
     def num_cpus(self) -> int:
         return os.cpu_count() or 1
@@ -161,15 +123,10 @@ class LiveRegistry:
     def __init__(self):
         self._stats: dict[str, callable] = {}
         self._lock = threading.Lock()
-        self._host_cpu0 = time.process_time()
 
     def register(self, container_id: str, stats_fn) -> None:
         with self._lock:
             self._stats[container_id] = stats_fn
-
-    def unregister(self, container_id: str) -> None:
-        with self._lock:
-            self._stats.pop(container_id, None)
 
     def exists(self, container_id: str) -> bool:
         with self._lock:
@@ -200,7 +157,7 @@ def make_stats_backend(config: dict):
 
 
 # ---------------------------------------------------------------------------
-# Polling
+# CPU shares
 
 
 def cpu_percent_from_usage(delta_usage_usec: int, delta_t_usec: float, num_cpus: int) -> float:
@@ -209,102 +166,6 @@ def cpu_percent_from_usage(delta_usage_usec: int, delta_t_usec: float, num_cpus:
         return 0.0
     pct = delta_usage_usec / (delta_t_usec * num_cpus) * 100.0
     return min(100.0, max(0.0, pct))
-
-
-@dataclass
-class MonitorResult:
-    samples: list[Sample] = field(default_factory=list)
-    snapshots: list[CpuShareSnapshot] = field(default_factory=list)
-    vanished: list[str] = field(default_factory=list)
-
-
-class MonitorSession:
-    """Polls container memory/CPU once per interval and records CPU-share
-    snapshots used later for power attribution."""
-
-    def __init__(self, backend, container_ids: list[str], interval_ms: int, host_cpu_fn=None):
-        self.backend = backend
-        self.container_ids = list(container_ids)
-        self.interval_ms = interval_ms
-        self.host_cpu_fn = host_cpu_fn
-        self.result = MonitorResult()
-        self.error: Exception | None = None
-
-    def run(self, stop_signal: threading.Event, anchor: float | None = None) -> None:
-        t0 = time.monotonic() if anchor is None else anchor
-        if hasattr(self.backend, "start"):
-            self.backend.start(t0)
-        num_cpus = self.backend.num_cpus()
-        mem_desc = classify("memory_usage")
-        cpu_desc = classify("cpu_utilization")
-        prev_usage: dict[str, tuple[int, int]] = {}
-        prev_host: tuple[int, int] | None = None
-        active = set(self.container_ids)
-        last_ts = -1
-        tick = 0
-        try:
-            while True:
-                now_ms = int(round((time.monotonic() - t0) * 1e3))
-                now_ms = max(now_ms, last_ts + 1)
-                last_ts = now_ms
-                per_container: dict[str, float] = {}
-                for cid in list(active):
-                    try:
-                        memory, usage = self.backend.read(cid)
-                    except (FileNotFoundError, KeyError, OSError):
-                        active.discard(cid)
-                        self.result.vanished.append(cid)
-                        continue
-                    self.result.samples.append(Sample(now_ms, mem_desc, cid, float(memory)))
-                    if cid in prev_usage:
-                        p_ts, p_usage = prev_usage[cid]
-                        pct = cpu_percent_from_usage(
-                            usage - p_usage, (now_ms - p_ts) * 1e3, num_cpus
-                        )
-                        per_container[cid] = pct
-                        self.result.samples.append(Sample(now_ms, cpu_desc, cid, pct))
-                    prev_usage[cid] = (now_ms, usage)
-                host_pct = self._host_percent(now_ms, prev_host, num_cpus)
-                if isinstance(host_pct, tuple):
-                    prev_host, host_pct = host_pct
-                if host_pct is not None and per_container:
-                    self.result.samples.append(Sample(now_ms, cpu_desc, HOST_ID, host_pct))
-                    self.result.snapshots.append(
-                        CpuShareSnapshot(now_ms, host_pct, dict(per_container))
-                    )
-                if stop_signal.is_set():
-                    break
-                tick += 1
-                deadline = t0 + tick * self.interval_ms / 1e3
-                delay = deadline - time.monotonic()
-                if delay > 0:
-                    stop_signal.wait(delay)
-        except Exception as exc:
-            self.error = exc
-            raise
-
-    def _host_percent(self, now_ms, prev_host, num_cpus):
-        if self.host_cpu_fn is None:
-            return None
-        usec = self.host_cpu_fn()
-        if prev_host is None:
-            return ((now_ms, usec), None)
-        p_ts, p_usec = prev_host
-        pct = cpu_percent_from_usage(usec - p_usec, (now_ms - p_ts) * 1e3, num_cpus)
-        return ((now_ms, usec), pct)
-
-
-def poll_container_stats(
-    backend,
-    container_ids: list[str],
-    interval_ms: int,
-    stop_signal: threading.Event,
-    host_cpu_fn=None,
-) -> MonitorResult:
-    """Blocking convenience wrapper around :class:`MonitorSession`."""
-    session = MonitorSession(backend, container_ids, interval_ms, host_cpu_fn)
-    session.run(stop_signal)
-    return session.result
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,8 @@ class WattbenchError(Exception):
     """Base class for all pipeline errors."""
 
 
-class UnitError(WattbenchError):
-    """Unsupported unit conversion pair."""
-
-
 class UnknownMetricError(WattbenchError):
     """Metric name is not registered."""
-
-
-class PhaseError(WattbenchError):
-    """Requested phase has no mark on the series."""
 
 
 class ProbeUnavailable(WattbenchError):
@@ -31,10 +23,6 @@ class InsufficientData(WattbenchError):
 
 class ImplausiblePower(WattbenchError):
     """Derived power exceeds the sanity ceiling; invalidates the run."""
-
-
-class StaleProcess(WattbenchError):
-    """Process disappeared before its cgroup could be resolved."""
 
 
 class AttributionError(WattbenchError):

@@ -3,8 +3,9 @@ records.
 
 Each virtual user executes the scenario's operation list cyclically with at
 most one outstanding request, sleeping a fixed think time between
-operations. Records are tagged warmup/measurement by start time; requests
-still in flight when the duration elapses are drained and flagged overflow.
+operations. A record's start time places it in the warm-up or measurement
+phase; requests still in flight when the duration elapses are drained and
+recorded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import IO, Sequence
 
 import requests
@@ -65,22 +65,6 @@ class LoadResult:
     records: list[RequestRecord]
     phase_marks: tuple[PhaseMark, ...]
     duration_ms: int
-
-    def phase_records(self, phase: Phase) -> list[RequestRecord]:
-        mark = next(m for m in self.phase_marks if m.phase == phase)
-        return [r for r in self.records if mark.contains(r.start_ms)]
-
-    def is_overflow(self, record: RequestRecord) -> bool:
-        return record.start_ms + record.latency_ms > self.duration_ms
-
-
-def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file; see parse_scenario."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"scenario file not found: {path}") from exc
-    return parse_scenario(text)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
-from .errors import PhaseError, UnitError, UnknownMetricError
+from .errors import UnknownMetricError
 
 
 class Unit(str, Enum):
@@ -24,8 +24,6 @@ class Unit(str, Enum):
     MILLISECOND = "millisecond"
     COUNT = "count"
     REQUESTS_PER_SECOND = "requests_per_second"
-    # conversion target only, never a descriptor unit
-    SECOND = "second"
 
 
 class Scope(str, Enum):
@@ -105,25 +103,6 @@ def classify(descriptor_name: str) -> MetricDescriptor:
         raise UnknownMetricError(f"unknown metric: {descriptor_name!r}") from None
 
 
-def convert_unit(value: float, from_unit: Unit, to_unit: Unit, interval_s: float | None = None) -> float:
-    """Convert between the supported unit pairs.
-
-    Watt to joule integrates over ``interval_s`` seconds and requires it.
-    """
-    pair = (from_unit, to_unit)
-    if pair == (Unit.MICROJOULE, Unit.JOULE):
-        return value / 1e6
-    if pair == (Unit.JOULE, Unit.MICROJOULE):
-        return value * 1e6
-    if pair == (Unit.WATT, Unit.JOULE):
-        if interval_s is None:
-            raise UnitError("watt to joule needs an interval")
-        return value * interval_s
-    if pair == (Unit.MILLISECOND, Unit.SECOND):
-        return value / 1e3
-    raise UnitError(f"unsupported conversion {from_unit} -> {to_unit}")
-
-
 @dataclass(frozen=True)
 class Sample:
     timestamp_ms: int
@@ -182,19 +161,6 @@ class SampleSeries:
     def values(self) -> list[float]:
         return [s.value for s in self.samples]
 
-    def mark_for(self, phase: Phase) -> PhaseMark:
-        for mark in self.phase_marks:
-            if mark.phase == phase:
-                return mark
-        raise PhaseError(f"series has no {phase.value} mark")
-
-
-def slice_phase(series: SampleSeries, phase: Phase) -> SampleSeries:
-    """Keep only samples inside the phase interval (start inclusive, end exclusive)."""
-    mark = series.mark_for(phase)
-    kept = tuple(s for s in series.samples if mark.contains(s.timestamp_ms))
-    return SampleSeries(series.descriptor, series.scope_id, kept, (mark,))
-
 
 # ---------------------------------------------------------------------------
 # CSV persistence: `timestamp_ms,metric,scope_id,value`, value at 6 decimals,
@@ -238,15 +204,3 @@ def read_samples_csv(fh: IO[str]) -> list[Sample]:
         out.append(Sample(int(ts), classify(metric), scope_id, float(value)))
     return out
 
-
-def series_from_samples(
-    samples: Sequence[Sample], phase_marks: Sequence[PhaseMark] = ()
-) -> dict[tuple[str, str], SampleSeries]:
-    """Group a flat sample list into series keyed by (metric, scope_id)."""
-    grouped: dict[tuple[str, str], list[Sample]] = {}
-    for s in samples:
-        grouped.setdefault((s.metric.name, s.scope_id), []).append(s)
-    return {
-        key: SampleSeries(classify(key[0]), key[1], tuple(group), tuple(phase_marks))
-        for key, group in grouped.items()
-    }

@@ -11,7 +11,6 @@ ordering even when absolute timings differ.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import zlib
@@ -152,19 +151,3 @@ def serve(profile: SutProfile | str, bind: str = "127.0.0.1", port: int = 0) -> 
     """Start the service and return the running instance."""
     return MockSut(profile, bind, port).start()
 
-
-def main() -> None:
-    """Container entry point; profile selected via SUT_PROFILE."""
-    profile = os.environ.get("SUT_PROFILE", "v1")
-    port = int(os.environ.get("SUT_PORT", "8080"))
-    sut = serve(profile, "0.0.0.0", port)
-    print(f"mock SUT profile={profile} listening on :{sut.port}", flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        sut.stop()
-
-
-if __name__ == "__main__":
-    main()

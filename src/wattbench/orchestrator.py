@@ -26,9 +26,8 @@ import requests
 from . import agent as amod
 from . import loadgen as lmod
 from . import mocksut
-from .containers import LiveRegistry, make_stats_backend
+from .containers import LiveRegistry
 from .errors import AgentError, ConfigError, DeployError, PlanFailed, TargetDown, WattbenchError
-from .power import make_power_backend
 from .store import RunRecord, RunStore
 
 DEFAULT_COOLDOWN_MS = 5000
@@ -194,7 +193,6 @@ class MockDeployer:
 
     def __init__(self):
         self._current: Deployment | None = None
-        self._sut: mocksut.MockSut | None = None
 
     def deploy(self, sut: SutRef) -> Deployment:
         self.teardown_current()
@@ -207,7 +205,6 @@ class MockDeployer:
         registry = LiveRegistry()
         registry.register(container_id, service.stats)
         self._probe(service.base_url)
-        self._sut = service
         deployment = Deployment(
             base_url=service.base_url,
             container_ids=[container_id],
@@ -229,7 +226,6 @@ class MockDeployer:
         if self._current is not None:
             self._current.teardown()
             self._current = None
-            self._sut = None
 
 
 class DockerDeployer:
@@ -365,21 +361,9 @@ class Orchestrator:
         this run only and can read the deployment's live registry."""
         if self.agent_address is not None:
             return amod.AgentClient(*self.agent_address), None
-        registry = deployment.live_registry if deployment else None
-
-        def factory(config):
-            power_backend = make_power_backend(config.get("power", {"type": "rapl"}))
-            stats_cfg = config.get("stats")
-            if stats_cfg:
-                stats_backend = make_stats_backend(stats_cfg)
-            else:
-                stats_backend = registry
-            host_cpu_fn = getattr(stats_backend, "host_cpu_usec", None)
-            return power_backend, stats_backend, host_cpu_fn
-
         server = amod.AgentServer(spool_dir=str(Path(self.store.root) / ".agent-spool"),
-                                  backend_factory=factory).start()
-        return amod.AgentClient(*server.address), server
+                                  registry=deployment.live_registry if deployment else None)
+        return amod.AgentClient(*server.start().address), server
 
     def execute_run(self, plan: TestPlan, sut: SutRef, repetition_index: int = 0) -> RunRecord:
         # a bad scenario must fail before anything is deployed or started
@@ -442,14 +426,14 @@ class Orchestrator:
             except OSError as exc:
                 return self._finish_invalid(record, f"agent_lost: {exc}", files)
 
-            record.domains = self._domains_meta(config)
+            record.domains = stop_reply["domains"]
             for name, data in sorted(agent_files.items()):
                 kind = "power" if name.startswith("power_") else "container"
                 files.append((name, kind, data))
             files.append(("requests.csv", "requests", lmod.records_csv_bytes(load_result.records)))
 
             if stop_reply.get("degraded"):
-                return self._finish_invalid(record, "agent_degraded", files)
+                return self._finish_invalid(record, f"agent_degraded: {stop_reply['error']}", files)
 
             self.store.persist_run(record, files)
             return record
@@ -458,12 +442,6 @@ class Orchestrator:
                 server.stop()
             if deployment is not None:
                 deployment.teardown()
-
-    def _domains_meta(self, config: dict) -> list[dict]:
-        from .power import DEFAULT_MAX_RANGE_UJ
-
-        max_range = int(config["power"].get("max_range_uj", DEFAULT_MAX_RANGE_UJ))
-        return [{"kind": kind, "max_range_uj": max_range} for kind in config["domains"]]
 
     @staticmethod
     def _try_stop(client, run_id: str) -> None:

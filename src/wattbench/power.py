@@ -9,8 +9,6 @@ points are timestamped at the closing reading of each interval.
 from __future__ import annotations
 
 import csv
-import os
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -97,17 +95,6 @@ def power_from_counters(
         (readings[-1].timestamp_ms - readings[0].timestamp_ms) / (len(readings) - 1)
     )
     return PowerTrace(domain, interval_ms, SampleSeries(descriptor, "host", tuple(samples)))
-
-
-def trace_energy_j(readings: list[CounterReading], domain: EnergyDomain) -> float:
-    """Total joules across a reading list, summing wrap-corrected deltas."""
-    if len(readings) < 2:
-        raise InsufficientData("need at least 2 counter readings")
-    total_uj = sum(
-        delta_energy(p.raw_uj, c.raw_uj, domain.max_range_uj)
-        for p, c in zip(readings, readings[1:])
-    )
-    return total_uj / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -279,60 +266,3 @@ def make_power_backend(config: dict):
         )
     raise ProbeUnavailable(f"unknown power backend type: {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# Sampling loop
-
-
-class ProbeSession:
-    """Serialized sampling loop over one backend; one session per run."""
-
-    def __init__(self, backend, domains: list[EnergyDomain], interval_ms: int):
-        if interval_ms < 100:
-            raise ValueError("sampling interval must be >= 100 ms")
-        self.backend = backend
-        self.domains = domains
-        self.interval_ms = interval_ms
-        self.readings: dict[DomainKind, list[CounterReading]] = {d.kind: [] for d in domains}
-        self.error: Exception | None = None
-
-    def run(self, stop_signal: threading.Event, anchor: float | None = None) -> None:
-        """Sample each domain once per interval until the stop signal.
-
-        Timestamps come from the monotonic clock relative to ``anchor``;
-        jitter is tolerated but readings are never back-dated.
-        """
-        t0 = time.monotonic() if anchor is None else anchor
-        if hasattr(self.backend, "start"):
-            self.backend.start(t0)
-        tick = 0
-        try:
-            while True:
-                now_ms = int(round((time.monotonic() - t0) * 1e3))
-                for domain in self.domains:
-                    raw = self.backend.read_uj(domain)
-                    readings = self.readings[domain.kind]
-                    ts = now_ms if not readings else max(now_ms, readings[-1].timestamp_ms + 1)
-                    readings.append(CounterReading(ts, raw))
-                if stop_signal.is_set():
-                    break
-                tick += 1
-                deadline = t0 + tick * self.interval_ms / 1e3
-                delay = deadline - time.monotonic()
-                if delay > 0:
-                    stop_signal.wait(delay)
-        except Exception as exc:  # surfaced to the agent as a degraded session
-            self.error = exc
-            raise
-
-
-def sample_stream(
-    backend,
-    domains: list[EnergyDomain],
-    interval_ms: int,
-    stop_signal: threading.Event,
-) -> dict[DomainKind, list[CounterReading]]:
-    """Blocking convenience wrapper around :class:`ProbeSession`."""
-    session = ProbeSession(backend, domains, interval_ms)
-    session.run(stop_signal)
-    return session.readings

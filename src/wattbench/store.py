@@ -12,7 +12,6 @@ import io
 import json
 import os
 import shutil
-import tarfile
 import tempfile
 import time
 from dataclasses import dataclass, field, asdict
@@ -22,7 +21,7 @@ from pathlib import Path
 from .agent import sha256_hex
 from .errors import CorruptRun, DuplicateRun, NotFound
 from .loadgen import RequestRecord, read_records_csv
-from .metrics import Phase, PhaseMark, Sample, read_samples_csv, series_from_samples
+from .metrics import Phase, PhaseMark, Sample, read_samples_csv
 from .power import CounterReading, DomainKind, EnergyDomain
 
 MANIFEST_NAME = "manifest.json"
@@ -91,9 +90,6 @@ class LoadedRun:
             if d["kind"] == kind.value:
                 return EnergyDomain(kind, "stored", int(d["max_range_uj"]))
         raise KeyError(kind)
-
-    def series(self):
-        return series_from_samples(self.samples, self.record.phase_marks())
 
 
 class RunStore:
@@ -202,21 +198,3 @@ class RunStore:
             if not p.parent.name.startswith(".")  # unpublished temp dirs
         ]
         return sorted(manifests, key=lambda m: (m.created_at, m.run_id))
-
-    # -- maintenance --------------------------------------------------------
-
-    def export_archive(self, out_path: str, commit_id: str | None = None) -> str:
-        """Single compressed archive of selected runs for CI artifact upload."""
-        with tarfile.open(out_path, "w:gz") as tar:
-            for manifest in self.list_runs(commit_id):
-                run_dir = self.find_run_dir(manifest.run_id)
-                if run_dir is not None:
-                    tar.add(run_dir, arcname=str(run_dir.relative_to(self.root)))
-        return out_path
-
-    def delete_run(self, run_id: str) -> None:
-        """Explicit maintenance command; the store never deletes on its own."""
-        run_dir = self.find_run_dir(run_id)
-        if run_dir is None:
-            raise NotFound(run_id)
-        shutil.rmtree(run_dir)

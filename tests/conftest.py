@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import time
+
 import pytest
 
+from wattbench.agent import AgentState
 from wattbench.loadgen import RequestRecord
-from wattbench.metrics import Sample, classify
+from wattbench.metrics import Sample, classify, read_samples_csv
 from wattbench.power import CounterReading, DomainKind
 from wattbench.store import LoadedRun, RunManifest, RunRecord
 
@@ -91,3 +95,57 @@ def make_loaded_run(
 @pytest.fixture
 def loaded_run() -> LoadedRun:
     return make_loaded_run()
+
+
+def _profile_dir(tmp_path, cpu_watts=10.0, dram_watts=0.5):
+    d = tmp_path / "profile"
+    d.mkdir(exist_ok=True)
+    (d / "cpu_package.csv").write_text(f"t_ms,watts\n0,{cpu_watts}\n")
+    (d / "dram.csv").write_text(f"t_ms,watts\n0,{dram_watts}\n")
+    return d
+
+
+def _stats_csv(tmp_path):
+    path = tmp_path / "stats.csv"
+    path.write_text(
+        "t_ms,container_id,memory_bytes,cpu_usage_usec\n"
+        + "\n".join(
+            f"{t},c{i},{1000 * (i + 1)},{t * 50 * i}"
+            for t in range(0, 5000, 100)
+            for i in (1, 2)
+        )
+        + "\n"
+    )
+    return path
+
+
+def agent_config(tmp_path, with_stats=True, interval_ms=100):
+    """A start_monitoring config: constant-power profile counters and, with
+    ``with_stats``, scripted stats for containers c1 and c2."""
+    config = {
+        "power": {"type": "profile", "dir": str(_profile_dir(tmp_path))},
+        "interval_ms": interval_ms,
+    }
+    if with_stats:
+        config["stats"] = {"type": "scripted", "path": str(_stats_csv(tmp_path))}
+        config["containers"] = ["c1", "c2"]
+    return config
+
+
+def collect_session(tmp_path, config, seconds, registry=None):
+    """Run one session on an in-process agent; returns the stop reply and
+    the stored files parsed into samples."""
+    state = AgentState(str(tmp_path / "spool"), registry)
+    reply = state.handle_start("run", config)
+    assert reply["status"] == "ok", reply
+    time.sleep(seconds)
+    stop = state.handle_stop("run")
+    files = {
+        name: read_samples_csv(io.StringIO(data.decode("ascii")))
+        for name, data in state.stopped["run"].files.items()
+    }
+    return stop, files
+
+
+def sample_timestamps(samples, metric=None):
+    return [s.timestamp_ms for s in samples if metric is None or s.metric.name == metric]

@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -8,45 +9,17 @@ from wattbench.agent import (
     PROTOCOL_VERSION,
     AgentClient,
     AgentServer,
+    AgentState,
     deterministic_tar,
     sha256_hex,
     untar_files,
     verify_archive,
 )
-from wattbench.errors import AgentError
+from wattbench.containers import LiveRegistry
+from wattbench.errors import AgentError, ProbeUnavailable
+from wattbench.power import ProfilePowerBackend
 
-
-def _profile_dir(tmp_path, cpu_watts=10.0, dram_watts=0.5):
-    d = tmp_path / "profile"
-    d.mkdir(exist_ok=True)
-    (d / "cpu_package.csv").write_text(f"t_ms,watts\n0,{cpu_watts}\n")
-    (d / "dram.csv").write_text(f"t_ms,watts\n0,{dram_watts}\n")
-    return d
-
-
-def _stats_csv(tmp_path):
-    path = tmp_path / "stats.csv"
-    path.write_text(
-        "t_ms,container_id,memory_bytes,cpu_usage_usec\n"
-        + "\n".join(
-            f"{t},c{i},{1000 * (i + 1)},{t * 50 * i}"
-            for t in range(0, 5000, 100)
-            for i in (1, 2)
-        )
-        + "\n"
-    )
-    return path
-
-
-def _config(tmp_path, with_stats=True, interval_ms=100):
-    config = {
-        "power": {"type": "profile", "dir": str(_profile_dir(tmp_path))},
-        "interval_ms": interval_ms,
-    }
-    if with_stats:
-        config["stats"] = {"type": "scripted", "path": str(_stats_csv(tmp_path))}
-        config["containers"] = ["c1", "c2"]
-    return config
+from conftest import agent_config, collect_session, sample_timestamps
 
 
 @pytest.fixture
@@ -98,7 +71,7 @@ class TestProtocolFraming:
 
 class TestSessionLifecycle:
     def test_full_cycle_start_stop_fetch(self, client, tmp_path):
-        reply = client.start("run-a", _config(tmp_path))
+        reply = client.start("run-a", agent_config(tmp_path))
         assert reply["status"] == "ok" and reply["anchor"]
         assert client.health()["detail"] == "busy"
         time.sleep(0.45)
@@ -127,24 +100,24 @@ class TestSessionLifecycle:
             )
 
     def test_power_only_session_has_no_container_files(self, client, tmp_path):
-        client.start("run-p", _config(tmp_path, with_stats=False))
+        client.start("run-p", agent_config(tmp_path, with_stats=False))
         time.sleep(0.25)
         stop = client.stop("run-p")
         names = {e["relative_path"] for e in stop["manifest"]}
         assert names == {"power_cpu_package.csv", "power_dram.csv"}
 
     def test_second_start_while_busy_rejected(self, client, tmp_path):
-        client.start("run-b", _config(tmp_path, with_stats=False))
+        client.start("run-b", agent_config(tmp_path, with_stats=False))
         with pytest.raises(AgentError) as err:
-            client.start("run-c", _config(tmp_path, with_stats=False))
+            client.start("run-c", agent_config(tmp_path, with_stats=False))
         assert err.value.code == "busy"
         client.stop("run-b")
 
     def test_duplicate_run_id_rejected_after_stop(self, client, tmp_path):
-        client.start("run-d", _config(tmp_path, with_stats=False))
+        client.start("run-d", agent_config(tmp_path, with_stats=False))
         client.stop("run-d")
         with pytest.raises(AgentError) as err:
-            client.start("run-d", _config(tmp_path, with_stats=False))
+            client.start("run-d", agent_config(tmp_path, with_stats=False))
         assert err.value.code == "duplicate_run"
 
     def test_stop_unknown_run_rejected(self, client):
@@ -158,7 +131,7 @@ class TestSessionLifecycle:
         assert err.value.code == "not_found"
 
     def test_fetch_while_running_rejected(self, client, tmp_path):
-        client.start("run-e", _config(tmp_path, with_stats=False))
+        client.start("run-e", agent_config(tmp_path, with_stats=False))
         with pytest.raises(AgentError) as err:
             client.fetch("run-e")
         assert err.value.code == "not_ready"
@@ -170,15 +143,30 @@ class TestSessionLifecycle:
             client.start("run-f", config)
         assert err.value.code == "probe_unavailable"
 
+    @pytest.mark.parametrize("interval_ms", [50, 99, "fast"])
+    def test_bad_interval_rejected_and_agent_left_idle(self, client, tmp_path, interval_ms):
+        with pytest.raises(AgentError) as err:
+            client.start("run-j", agent_config(tmp_path, interval_ms=interval_ms))
+        assert err.value.code == "bad_config"
+        assert client.health()["detail"] == "idle"
+
+    def test_stop_reply_names_discovered_counter_ranges(self, client, tmp_path):
+        client.start("run-k", agent_config(tmp_path, with_stats=False))
+        stop = client.stop("run-k")
+        assert stop["domains"] == [
+            {"kind": "cpu_package", "max_range_uj": 2**32},
+            {"kind": "dram", "max_range_uj": 2**32},
+        ]
+
     def test_unknown_domain_reported(self, client, tmp_path):
-        config = _config(tmp_path, with_stats=False)
+        config = agent_config(tmp_path, with_stats=False)
         config["domains"] = ["cpu_package", "psys"]
         with pytest.raises(AgentError) as err:
             client.start("run-g", config)
         assert err.value.code in {"bad_config", "probe_unavailable"}
 
     def test_repeated_fetch_is_byte_identical(self, client, tmp_path):
-        client.start("run-h", _config(tmp_path, with_stats=False))
+        client.start("run-h", agent_config(tmp_path, with_stats=False))
         time.sleep(0.25)
         client.stop("run-h")
         _, first = client.fetch("run-h")
@@ -186,13 +174,64 @@ class TestSessionLifecycle:
         assert first == second
 
     def test_spool_files_written_on_stop(self, server, client, tmp_path):
-        client.start("run-i", _config(tmp_path, with_stats=False))
+        client.start("run-i", agent_config(tmp_path, with_stats=False))
         time.sleep(0.25)
         stop = client.stop("run-i")
         spool = server.state.spool_dir / "run-i"
         for entry in stop["manifest"]:
             on_disk = (spool / entry["relative_path"]).read_bytes()
             assert sha256_hex(on_disk) == entry["checksum"]
+
+
+class TestSampler:
+    """The session's one tick loop over counters, containers and host CPU."""
+
+    def test_one_collector_thread_per_session(self, tmp_path):
+        state = AgentState(str(tmp_path / "spool"))
+        before = set(threading.enumerate())
+        state.handle_start("run", agent_config(tmp_path))
+        started = set(threading.enumerate()) - before
+        state.handle_stop("run")
+        assert len(started) == 1
+
+    def test_slow_counter_reads_keep_one_timestamp_per_tick(self, tmp_path, monkeypatch):
+        read_uj = ProfilePowerBackend.read_uj
+
+        def slow_read(self, domain):
+            time.sleep(0.15)
+            return read_uj(self, domain)
+
+        monkeypatch.setattr(ProfilePowerBackend, "read_uj", slow_read)
+        registry = LiveRegistry()
+        registry.register("sut", lambda: (100, 0))
+        config = agent_config(tmp_path, with_stats=False)
+        config["containers"] = ["sut"]
+        _, files = collect_session(tmp_path, config, 1.0, registry)
+        power = set(sample_timestamps(files["power_cpu_package.csv"]))
+        memory = sample_timestamps(files["container_sut.csv"], "memory_usage")
+        assert memory and all(t in power for t in memory)
+
+    def test_vanished_container_dropped_and_polling_continues(self, tmp_path):
+        reads = {"n": 0}
+
+        def vanishing():
+            reads["n"] += 1
+            if reads["n"] > 2:
+                raise FileNotFoundError("c2")
+            return 200, 0
+
+        registry = LiveRegistry()
+        registry.register("c1", lambda: (100, 0))
+        registry.register("c2", vanishing)
+        config = agent_config(tmp_path, with_stats=False)
+        config["containers"] = ["c1", "c2"]
+        stop, files = collect_session(tmp_path, config, 0.5, registry)
+        assert stop["degraded"] is False
+        c1 = sample_timestamps(files["container_c1.csv"], "memory_usage")
+        c2 = sample_timestamps(files["container_c2.csv"], "memory_usage")
+        assert c1[-1] > 300
+        assert c2 == c1[:2]
+        assert reads["n"] == 3  # not read again once gone
 
 
 class TestDeterministicTar:

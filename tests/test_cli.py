@@ -110,6 +110,29 @@ class TestRunCommand:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_rapl_counter_range_is_stored_and_reported(self, tmp_path):
+        # a counter above 2**32 is valid when the hardware's range is larger
+        pkg = tmp_path / "powercap" / "intel-rapl:0"
+        pkg.mkdir(parents=True)
+        (pkg / "name").write_text("package-0\n")
+        (pkg / "energy_uj").write_text("100000000000\n")
+        (pkg / "max_energy_range_uj").write_text("262143328850\n")
+        (tmp_path / "scenario.ini").write_text(SCENARIO_TEXT)
+        (tmp_path / "plan.ini").write_text(
+            PLAN_TEXT + "\n[monitoring]\npower_backend = rapl\n"
+            f"root = {tmp_path / 'powercap'}\ndomains = cpu_package\n"
+        )
+        store = tmp_path / "store"
+        result = run_cli("run", str(tmp_path / "plan.ini"), "--sut", "mock:v1",
+                         "--commit", "rapl", "--store", str(store))
+        assert result.returncode == 0, result.stderr
+        (meta,) = store.glob("rapl/*/*/meta.json")
+        assert json.loads(meta.read_text())["domains"] == [
+            {"kind": "cpu_package", "max_range_uj": 262143328850}
+        ]
+        report = run_cli("report", "rapl", "--store", str(store))
+        assert report.returncode == 0, report.stderr
+
     def test_unknown_mock_profile_exits_two_before_deploying(self, workspace, tmp_path):
         result = run_cli(
             "run", str(workspace / "plan.ini"), "--sut", "mock:custom",

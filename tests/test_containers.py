@@ -1,6 +1,4 @@
 import random
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,45 +8,18 @@ from wattbench.containers import (
     CgroupV2Backend,
     CpuShareSnapshot,
     LiveRegistry,
-    MonitorSession,
     ScriptedRegistry,
     attribute_power,
     attributed_power_samples,
-    container_id_from_cgroup_path,
     cpu_percent_from_usage,
     make_stats_backend,
-    poll_container_stats,
-    resolve_container_of_process,
 )
-from wattbench.errors import AttributionError, StaleProcess
+from wattbench.errors import AttributionError
 from wattbench.metrics import Sample, SampleSeries, classify
 
+from conftest import agent_config, collect_session, sample_timestamps
+
 CID = "a" * 64
-
-
-class TestContainerResolution:
-    def test_docker_dir_layout(self):
-        assert container_id_from_cgroup_path(f"0::/docker/{CID}\n") == CID
-
-    def test_systemd_scope_layout(self):
-        text = f"0::/system.slice/docker-{CID}.scope\n"
-        assert container_id_from_cgroup_path(text) == CID
-
-    def test_short_ids_accepted(self):
-        assert container_id_from_cgroup_path("0::/docker/" + "b" * 12) == "b" * 12
-
-    def test_non_container_process_maps_to_host(self):
-        assert container_id_from_cgroup_path("0::/user.slice/user-0.slice\n") == HOST_ID
-
-    def test_resolve_via_proc(self, tmp_path):
-        proc = tmp_path / "1234"
-        proc.mkdir()
-        (proc / "cgroup").write_text(f"0::/docker/{CID}\n")
-        assert resolve_container_of_process(1234, str(tmp_path)) == CID
-
-    def test_vanished_process_rejected(self, tmp_path):
-        with pytest.raises(StaleProcess):
-            resolve_container_of_process(9999, str(tmp_path))
 
 
 class TestCpuPercent:
@@ -127,79 +98,63 @@ class TestScriptedRegistry:
 
 
 class TestLiveRegistry:
-    def test_register_read_unregister(self):
+    def test_register_and_read(self):
         reg = LiveRegistry()
         reg.register("c1", lambda: (42, 7))
         assert reg.exists("c1")
         assert reg.read("c1") == (42, 7)
-        reg.unregister("c1")
-        assert not reg.exists("c1")
+        assert not reg.exists("c2")
         with pytest.raises(FileNotFoundError):
-            reg.read("c1")
+            reg.read("c2")
 
 
 class TestMonitorSession:
-    def _run(self, backend, cids, duration_s, interval_ms=100, host_cpu_fn=None):
-        stop = threading.Event()
-        threading.Timer(duration_s, stop.set).start()
-        return poll_container_stats(backend, cids, interval_ms, stop, host_cpu_fn)
+    """The agent session's tick loop, seen from the container stats."""
 
     def test_collects_memory_every_tick_and_cpu_from_second(self, tmp_path):
-        path = _scripted_csv(
-            tmp_path,
-            [(t, "c1", 1000 + t, t * 100) for t in range(0, 2000, 100)],
-        )
-        result = self._run(ScriptedRegistry(path), ["c1"], 0.55)
-        mem = [s for s in result.samples if s.metric.name == "memory_usage"]
-        cpu = [s for s in result.samples if s.metric.name == "cpu_utilization"]
+        _, files = collect_session(tmp_path, agent_config(tmp_path), 0.55)
+        samples = files["container_c1.csv"]
+        mem = sample_timestamps(samples, "memory_usage")
+        cpu = sample_timestamps(samples, "cpu_utilization")
         assert len(mem) >= 4
-        assert len(cpu) == len(mem) - 1  # no CPU rate at the first tick
-        assert result.vanished == []
-
-    def test_vanished_container_recorded_and_polling_continues(self):
-        reg = LiveRegistry()
-        reg.register("c1", lambda: (100, 0))
-        reg.register("c2", lambda: (200, 0))
-        threading.Timer(0.15, lambda: reg.unregister("c2")).start()
-        result = self._run(reg, ["c1", "c2"], 0.5)
-        assert result.vanished == ["c2"]
-        c1_mem = [s for s in result.samples if s.scope_id == "c1"]
-        assert c1_mem[-1].timestamp_ms > 300
+        assert cpu == mem[1:]  # no CPU rate at the first tick
 
     def test_share_snapshots_need_host_and_container_rates(self, tmp_path):
-        path = _scripted_csv(
-            tmp_path,
-            [(t, "c1", 1000, t * 250) for t in range(0, 2000, 100)],
-        )
-        reg = ScriptedRegistry(path)
-        result = self._run(reg, ["c1"], 0.55, host_cpu_fn=reg.host_cpu_usec)
-        assert result.snapshots, "expected CPU-share snapshots"
-        for snap in result.snapshots:
-            assert set(snap.per_container_percent) == {"c1"}
-            # scripted host usage equals the container sum, so shares match
-            assert snap.per_container_percent["c1"] == pytest.approx(
-                snap.host_cpu_percent, abs=1e-9
-            )
+        # scripted host usage is the container sum, so each tick's host CPU
+        # share equals the containers' summed share
+        _, files = collect_session(tmp_path, agent_config(tmp_path), 0.55)
+        host = {s.timestamp_ms: s.value for s in files["container_host.csv"]
+                if s.metric.name == "cpu_utilization"}
+        assert host, "expected host CPU samples"
+        per_container = {}
+        for cid in ("c1", "c2"):
+            for s in files[f"container_{cid}.csv"]:
+                if s.metric.name == "cpu_utilization":
+                    per_container[s.timestamp_ms] = per_container.get(s.timestamp_ms, 0) + s.value
+        for t, pct in host.items():
+            assert per_container[t] == pytest.approx(pct, abs=1e-5)
+        attributed = [s for s in files["container_c1.csv"] if s.metric.name == "cpu_power"]
+        assert attributed
 
-    def test_timestamps_strictly_increase(self):
-        reg = LiveRegistry()
-        reg.register("c1", lambda: (1, 0))
-        result = self._run(reg, ["c1"], 0.4, interval_ms=100)
-        ts = [s.timestamp_ms for s in result.samples if s.metric.name == "memory_usage"]
-        assert ts == sorted(ts) and len(set(ts)) == len(ts)
+    def test_timestamps_strictly_increase(self, tmp_path):
+        _, files = collect_session(tmp_path, agent_config(tmp_path, interval_ms=200), 0.85)
+        power = sample_timestamps(files["power_cpu_package.csv"])
+        for cid in ("c1", "c2"):
+            ts = sample_timestamps(files[f"container_{cid}.csv"], "memory_usage")
+            assert ts == sorted(ts) and len(set(ts)) == len(ts)
+            assert ts == power  # one timestamp per tick for counters and containers
 
-    def test_backend_error_surfaces(self):
-        class Boom:
-            def num_cpus(self):
-                return 1
+    def test_backend_error_surfaces(self, tmp_path):
+        def broken():
+            raise RuntimeError("disk on fire")
 
-            def read(self, cid):
-                raise RuntimeError("disk on fire")
-
-        session = MonitorSession(Boom(), ["c1"], 100)
-        with pytest.raises(RuntimeError):
-            session.run(threading.Event())
-        assert isinstance(session.error, RuntimeError)
+        registry = LiveRegistry()
+        registry.register("c1", broken)
+        config = agent_config(tmp_path, with_stats=False)
+        config["containers"] = ["c1"]
+        stop, _ = collect_session(tmp_path, config, 0, registry)
+        assert stop["degraded"] is True
+        assert stop["error"] == "RuntimeError: disk on fire"
 
 
 class TestAttribution:

@@ -6,11 +6,9 @@ import pytest
 from wattbench.errors import ConfigError, TargetDown
 from wattbench.loadgen import (
     REQUESTS_CSV_HEADER,
-    LoadResult,
     Operation,
     RequestRecord,
     Scenario,
-    load_scenario,
     parse_scenario,
     read_records_csv,
     records_csv_bytes,
@@ -18,7 +16,7 @@ from wattbench.loadgen import (
     throughput_series,
     write_records_csv,
 )
-from wattbench.metrics import Phase, standard_phase_marks
+from wattbench.metrics import standard_phase_marks
 from wattbench.mocksut import serve
 
 SCENARIO_TEXT = """\
@@ -39,7 +37,7 @@ expected_status = 200
 def scenario(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text(SCENARIO_TEXT)
-    return load_scenario(str(path))
+    return parse_scenario(path.read_text())
 
 
 class TestScenarioParsing:
@@ -56,21 +54,13 @@ class TestScenarioParsing:
             "login", "POST", "/login", 200,
         )
 
-    def test_missing_file_rejected(self):
+    def test_operation_without_path_rejected(self):
         with pytest.raises(ConfigError):
-            load_scenario("/nonexistent/scenario.ini")
+            parse_scenario("[scenario]\n[operation:x]\nmethod = GET\n")
 
-    def test_operation_without_path_rejected(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[scenario]\n[operation:x]\nmethod = GET\n")
+    def test_no_operations_rejected(self):
         with pytest.raises(ConfigError):
-            load_scenario(str(path))
-
-    def test_no_operations_rejected(self, tmp_path):
-        path = tmp_path / "empty.ini"
-        path.write_text("[scenario]\nthink_time_ms = 10\n")
-        with pytest.raises(ConfigError):
-            load_scenario(str(path))
+            parse_scenario("[scenario]\nthink_time_ms = 10\n")
 
     def test_text_parses_like_the_file(self, scenario):
         assert parse_scenario(SCENARIO_TEXT) == scenario
@@ -94,8 +84,9 @@ class TestRunScenario:
         assert result.records, "expected at least one record"
         assert all(r.success for r in result.records)
         assert all(0 <= r.start_ms < 1500 for r in result.records)
-        warm = result.phase_records(Phase.WARMUP)
-        meas = result.phase_records(Phase.MEASUREMENT)
+        warm_mark, meas_mark = result.phase_marks
+        warm = [r for r in result.records if warm_mark.contains(r.start_ms)]
+        meas = [r for r in result.records if meas_mark.contains(r.start_ms)]
         assert len(warm) + len(meas) == len(result.records)
         assert all(r.start_ms < 500 for r in warm)
         assert all(r.start_ms >= 500 for r in meas)
@@ -115,13 +106,12 @@ class TestRunScenario:
                 # closed loop: next request starts after the previous returned
                 assert curr.start_ms >= prev.start_ms
 
-    def test_unexpected_status_is_failure_record(self, sut, tmp_path):
-        path = tmp_path / "wrong.ini"
-        path.write_text(
+    def test_unexpected_status_is_failure_record(self, sut):
+        scenario = parse_scenario(
             "[scenario]\nthink_time_ms = 100\n"
             "[operation:broken]\nmethod = POST\npath = /login\nbody = garbage\n"
         )
-        result = run_scenario(load_scenario(str(path)), 1, 600, 100, sut.base_url)
+        result = run_scenario(scenario, 1, 600, 100, sut.base_url)
         assert result.records
         assert all(r.outcome == "failure:status_400" for r in result.records)
 
@@ -139,17 +129,6 @@ class TestRunScenario:
             run_scenario(scenario, 0, 500, 100, sut.base_url)
         with pytest.raises(ValueError):
             run_scenario(scenario, 1, 500, 500, sut.base_url)
-
-    def test_overflow_requests_flagged(self):
-        marks = standard_phase_marks(100, 1000)
-        result = LoadResult(
-            [RequestRecord("login", 0, 950, 120.0, "success")], marks, 1000
-        )
-        assert result.is_overflow(result.records[0])
-        result2 = LoadResult(
-            [RequestRecord("login", 0, 900, 50.0, "success")], marks, 1000
-        )
-        assert not result2.is_overflow(result2.records[0])
 
 
 class TestThroughputSeries:

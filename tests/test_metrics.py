@@ -1,9 +1,8 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from wattbench.errors import PhaseError, UnitError, UnknownMetricError
+from wattbench.errors import UnknownMetricError
 from wattbench.metrics import (
     BUILTIN_DESCRIPTORS,
     CSV_HEADER,
@@ -16,10 +15,7 @@ from wattbench.metrics import (
     Temporal,
     Unit,
     classify,
-    convert_unit,
     read_samples_csv,
-    slice_phase,
-    standard_phase_marks,
     write_samples_csv,
 )
 
@@ -61,81 +57,6 @@ class TestClassificationTable:
     def test_classify_unknown_name_rejected(self):
         with pytest.raises(UnknownMetricError):
             classify("nonexistent")
-
-
-class TestConvertUnit:
-    def test_microjoule_to_joule(self):
-        assert convert_unit(29_710_000, Unit.MICROJOULE, Unit.JOULE) == pytest.approx(29.71)
-
-    def test_zero(self):
-        assert convert_unit(0, Unit.MICROJOULE, Unit.JOULE) == 0.0
-
-    def test_watt_over_interval(self):
-        assert convert_unit(10, Unit.WATT, Unit.JOULE, interval_s=100) == 1000.0
-
-    def test_watt_without_interval_rejected(self):
-        with pytest.raises(UnitError):
-            convert_unit(10, Unit.WATT, Unit.JOULE)
-
-    def test_millisecond_to_second(self):
-        assert convert_unit(1500, Unit.MILLISECOND, Unit.SECOND) == 1.5
-
-    def test_unsupported_pair_rejected(self):
-        with pytest.raises(UnitError):
-            convert_unit(1, Unit.BYTE, Unit.WATT)
-
-    @given(st.integers(min_value=0, max_value=4_000_000_000))
-    def test_joule_roundtrip_exact_at_microjoule_granularity(self, x):
-        assert convert_unit(convert_unit(x, Unit.JOULE, Unit.MICROJOULE),
-                            Unit.MICROJOULE, Unit.JOULE) == x
-
-
-def _series(timestamps, warmup_ms, duration_ms, value=1.0):
-    desc = classify("response_time")
-    return SampleSeries(
-        desc,
-        "/login",
-        tuple(Sample(t, desc, "/login", value) for t in timestamps),
-        standard_phase_marks(warmup_ms, duration_ms),
-    )
-
-
-class TestSlicePhase:
-    def test_measurement_slice_drops_warmup(self):
-        series = _series(range(0, 110_000, 1000), 10_000, 110_000)
-        sliced = slice_phase(series, Phase.MEASUREMENT)
-        ts = [s.timestamp_ms for s in sliced.samples]
-        assert ts[0] == 10_000 and ts[-1] == 109_000 and len(ts) == 100
-
-    def test_boundaries_start_inclusive_end_exclusive(self):
-        series = _series([0, 9_999, 10_000, 109_999, 110_000], 10_000, 110_001)
-        sliced = slice_phase(series, Phase.MEASUREMENT)
-        assert [s.timestamp_ms for s in sliced.samples] == [10_000, 109_999, 110_000]
-
-    def test_empty_phase_gives_empty_series(self):
-        series = _series([0, 5_000], 10_000, 110_000)
-        assert len(slice_phase(series, Phase.MEASUREMENT)) == 0
-
-    def test_absent_phase_rejected(self):
-        desc = classify("response_time")
-        series = SampleSeries(desc, "x", (), (PhaseMark(Phase.WARMUP, 0, 10),))
-        with pytest.raises(PhaseError):
-            slice_phase(series, Phase.MEASUREMENT)
-
-    @settings(max_examples=1000, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=99_999), unique=True, max_size=60),
-        st.integers(min_value=1, max_value=99_999),
-    )
-    def test_phase_partition_property(self, timestamps, warmup_ms):
-        series = _series(sorted(timestamps), warmup_ms, 100_000)
-        warm = slice_phase(series, Phase.WARMUP)
-        meas = slice_phase(series, Phase.MEASUREMENT)
-        combined = sorted(
-            [(s.timestamp_ms, s.value) for s in warm.samples]
-            + [(s.timestamp_ms, s.value) for s in meas.samples]
-        )
-        assert combined == [(s.timestamp_ms, s.value) for s in series.samples]
 
 
 class TestSeriesInvariants:

@@ -3,7 +3,7 @@ import pytest
 from wattbench import loadgen
 from wattbench.agent import AgentClient, AgentServer
 from wattbench.analytics import aggregate_run
-from wattbench.errors import ConfigError, DeployError, PlanFailed
+from wattbench.errors import ConfigError, DeployError, PlanFailed, ProbeUnavailable
 from wattbench.orchestrator import (
     MockDeployer,
     Orchestrator,
@@ -12,7 +12,7 @@ from wattbench.orchestrator import (
     make_deployer,
     parse_sut_spec,
 )
-from wattbench.power import DomainKind
+from wattbench.power import CpuModelPowerBackend, DomainKind
 from wattbench.store import RunStore
 
 SCENARIO_TEXT = """\
@@ -209,6 +209,24 @@ class TestExecuteRun:
         record = orch.execute_run(plan, parse_sut_spec("mock:v1", "commit-c"))
         assert record.status == "invalid"
         assert record.invalid_reason.startswith("agent_lost")
+
+    def test_probe_failure_mid_run_is_invalid_with_the_collector_error(
+        self, plan, store, monkeypatch
+    ):
+        read_uj = CpuModelPowerBackend.read_uj
+        calls = {"n": 0}
+
+        def failing(self, domain):
+            calls["n"] += 1
+            if calls["n"] > 6:
+                raise ProbeUnavailable("energy_uj vanished")
+            return read_uj(self, domain)
+
+        monkeypatch.setattr(CpuModelPowerBackend, "read_uj", failing)
+        record = Orchestrator(store).execute_run(plan, parse_sut_spec("mock:v1", "commit-i"))
+        assert record.status == "invalid"
+        assert record.invalid_reason == "agent_degraded: ProbeUnavailable: energy_uj vanished"
+        assert store.load_run(record.run_id).record.invalid_reason == record.invalid_reason
 
     def test_simulated_power_profile_overrides_plan_backend(self, plan, store, tmp_path):
         profile = tmp_path / "profile"

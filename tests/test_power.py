@@ -1,24 +1,23 @@
 import random
-import threading
 import time
 
 import pytest
 
+from wattbench.agent import AgentState
 from wattbench.errors import ImplausiblePower, InsufficientData, ProbeUnavailable, RangeError
 from wattbench.power import (
     CounterReading,
     CpuModelPowerBackend,
     DomainKind,
     EnergyDomain,
-    ProbeSession,
     ProfilePowerBackend,
     RaplSysfsBackend,
     delta_energy,
     make_power_backend,
     power_from_counters,
-    sample_stream,
-    trace_energy_j,
 )
+
+from conftest import agent_config, collect_session, sample_timestamps
 
 RAPL_RANGE = 262_143_328_850
 
@@ -107,7 +106,6 @@ class TestPowerFromCounters:
                 for point, prev, curr in zip(trace.points.samples, readings, readings[1:])
             )
             assert integral_uj == pytest.approx(total_uj, rel=1e-6, abs=1e-6)
-            assert trace_energy_j(readings, domain) * 1e6 == pytest.approx(total_uj, rel=1e-9)
 
 
 class TestProfileBackend:
@@ -178,55 +176,44 @@ class TestRaplSysfsBackend:
 
 
 class TestSampleStream:
-    def _constant_backend(self, tmp_path, watts=10.0):
-        (tmp_path / "cpu_package.csv").write_text(f"t_ms,watts\n0,{watts}\n")
-        (tmp_path / "dram.csv").write_text("t_ms,watts\n0,0.5\n")
-        return ProfilePowerBackend(str(tmp_path))
+    """The agent session's tick loop, seen from the energy counters."""
 
     def test_interval_floor_enforced(self, tmp_path):
-        backend = self._constant_backend(tmp_path)
-        with pytest.raises(ValueError):
-            ProbeSession(backend, list(backend.discover().values()), 99)
+        state = AgentState(str(tmp_path / "spool"))
+        reply = state.handle_start("slow", agent_config(tmp_path, interval_ms=99))
+        assert (reply["status"], reply["code"]) == ("error", "bad_config")
+        assert state.handle_start("ok", agent_config(tmp_path, interval_ms=100))["status"] == "ok"
+        state.handle_stop("ok")
 
     def test_immediate_stop_still_yields_initial_reading(self, tmp_path):
-        backend = self._constant_backend(tmp_path)
-        stop = threading.Event()
-        stop.set()
-        readings = sample_stream(backend, list(backend.discover().values()), 1000, stop)
-        assert all(len(r) >= 1 for r in readings.values())
+        stop, files = collect_session(tmp_path, agent_config(tmp_path, interval_ms=1000), 0)
+        assert stop["degraded"] is False
+        assert len(files["power_cpu_package.csv"]) >= 1
+        assert len(files["power_dram.csv"]) >= 1
 
     def test_two_domains_sampled_in_lockstep(self, tmp_path):
-        backend = self._constant_backend(tmp_path)
-        stop = threading.Event()
-        threading.Timer(0.85, stop.set).start()
-        readings = sample_stream(backend, list(backend.discover().values()), 200, stop)
-        lengths = {kind: len(r) for kind, r in readings.items()}
-        assert set(lengths) == {DomainKind.CPU_PACKAGE, DomainKind.DRAM}
-        values = list(lengths.values())
-        assert abs(values[0] - values[1]) <= 1
+        config = agent_config(tmp_path, with_stats=False, interval_ms=200)
+        _, files = collect_session(tmp_path, config, 0.85)
+        ts = sample_timestamps(files["power_cpu_package.csv"])
         # ~0.85 s at 200 ms: initial + 4 scheduled + final stop read
-        assert 4 <= values[0] <= 7
-        for series in readings.values():
-            ts = [r.timestamp_ms for r in series]
-            assert ts == sorted(ts) and len(set(ts)) == len(ts)
+        assert 4 <= len(ts) <= 7
+        assert ts == sorted(ts) and len(set(ts)) == len(ts)
+        assert sample_timestamps(files["power_dram.csv"]) == ts
 
-    def test_mid_stream_probe_failure_surfaces(self, tmp_path):
-        backend = self._constant_backend(tmp_path)
+    def test_mid_stream_probe_failure_surfaces(self, tmp_path, monkeypatch):
+        read_uj = ProfilePowerBackend.read_uj
         calls = {"n": 0}
-        original = backend.read_uj
 
-        def flaky(domain):
+        def flaky(self, domain):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise ProbeUnavailable("counter vanished")
-            return original(domain)
+            return read_uj(self, domain)
 
-        backend.read_uj = flaky
-        session = ProbeSession(backend, list(backend.discover().values()), 100)
-        stop = threading.Event()
-        with pytest.raises(ProbeUnavailable):
-            session.run(stop)
-        assert isinstance(session.error, ProbeUnavailable)
+        monkeypatch.setattr(ProfilePowerBackend, "read_uj", flaky)
+        stop, _ = collect_session(tmp_path, agent_config(tmp_path, with_stats=False), 0.4)
+        assert stop["degraded"] is True
+        assert stop["error"] == "ProbeUnavailable: counter vanished"
 
 
 class TestCpuModelBackend:

@@ -1,6 +1,5 @@
 import json
 import os
-import tarfile
 
 import pytest
 
@@ -178,22 +177,6 @@ class TestListing:
 
 
 class TestMaintenance:
-    def test_export_archive_contains_run_dirs(self, store, tmp_path):
-        store.persist_run(_record(), _files())
-        out = store.export_archive(str(tmp_path / "runs.tar.gz"), commit_id="c1")
-        with tarfile.open(out) as tar:
-            names = tar.getnames()
-        assert "c1/ph1/r1/manifest.json" in names
-        assert "c1/ph1/r1/requests.csv" in names
-
-    def test_delete_is_explicit_and_total(self, store):
-        store.persist_run(_record(), _files())
-        store.delete_run("r1")
-        with pytest.raises(NotFound):
-            store.load_run("r1")
-        with pytest.raises(NotFound):
-            store.delete_run("r1")
-
     def test_meta_json_is_stable_readable_json(self, store):
         store.persist_run(_record(), _files())
         meta = json.loads((store.root / "c1" / "ph1" / "r1" / "meta.json").read_text())

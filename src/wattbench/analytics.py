@@ -8,9 +8,11 @@ equivalence is enforced by tests, not at runtime.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 from .errors import IncomparableRuns, NoData, SummaryError
@@ -20,6 +22,8 @@ from .power import CounterReading, DomainKind, EnergyDomain, delta_energy
 from .store import LoadedRun
 
 REPORT_SCHEMA = 1
+# the rank-sum gate runs only when both sides have at least this many runs
+MIN_RUNS_FOR_TEST = 3
 
 
 @dataclass
@@ -65,7 +69,6 @@ HARMFUL_DIRECTION: dict[str, str] = {
 class ComparisonPolicy:
     threshold_percent: float = 5.0
     alpha: float = 0.05
-    min_repetitions_for_test: int = 3
     metric_names: tuple[str, ...] = tuple(HARMFUL_DIRECTION)
 
     @property
@@ -212,13 +215,22 @@ def _median_or_none(values: list[float | None]) -> float | None:
 
 
 def _rank_sum_p(baseline: list[float], candidate: list[float]) -> float:
-    from scipy.stats import mannwhitneyu
-
-    if set(baseline) == set(candidate) and len(set(baseline + candidate)) == 1:
-        return 1.0
-    result = mannwhitneyu(baseline, candidate, alternative="two-sided")
-    p = float(result.pvalue)
-    return 1.0 if math.isnan(p) else p
+    """Exact two-sided rank-sum p-value (Mann & Whitney, 1947). Tied values
+    share their mid-rank, doubled to stay an integer; ways[j][s] counts the
+    j-subsets of the ranks seen so far that sum to s. p is the share of
+    len(baseline)-subsets at least as far from the mean sum as the observed."""
+    pooled = sorted(baseline + candidate)
+    rank = {v: bisect.bisect_left(pooled, v) + bisect.bisect_right(pooled, v) + 1 for v in pooled}
+    k, n = len(baseline), len(pooled)
+    ways = [Counter({0: 1})] + [Counter() for _ in range(k)]
+    for seen, value in enumerate(pooled):
+        for j in range(min(k, seen + 1), 0, -1):
+            for s, count in ways[j - 1].items():
+                ways[j][s + rank[value]] += count
+    mean = k * (n + 1)
+    distance = abs(sum(rank[v] for v in baseline) - mean)
+    extreme = sum(count for s, count in ways[k].items() if abs(s - mean) >= distance)
+    return extreme / math.comb(n, k)
 
 
 def _verdict(mb: float | None, mc: float | None, harmful: str, threshold_pct: float) -> str:
@@ -251,10 +263,7 @@ def compare(
     if len(hashes) > 1:
         raise IncomparableRuns(f"summaries span multiple plan hashes: {sorted(hashes)}")
 
-    low_confidence = (
-        len(baseline) < policy.min_repetitions_for_test
-        or len(candidate) < policy.min_repetitions_for_test
-    )
+    low_confidence = min(len(baseline), len(candidate)) < MIN_RUNS_FOR_TEST
     per_metric: dict[str, MetricComparison] = {}
     for fieldname, harmful in policy.metrics:
         b_vals = [getattr(s, fieldname) for s in baseline]
@@ -359,7 +368,8 @@ def _render_comparison(report: ComparisonReport, fmt: str) -> bytes:
     lines = [
         f"# Comparison: {report.baseline_commit} -> {report.candidate_commit}\n\n",
         f"Overall verdict: **{report.overall_verdict}**"
-        + (" (low statistical confidence: fewer than 3 repetitions)" if report.low_confidence else "")
+        + (f" (low statistical confidence: fewer than {MIN_RUNS_FOR_TEST} repetitions)"
+           if report.low_confidence else "")
         + "\n\n",
         "| Metric | Baseline | Candidate | Delta % | Verdict | p-value |\n",
         "|---|---|---|---|---|---|\n",

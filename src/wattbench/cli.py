@@ -107,7 +107,7 @@ def _summaries_for(store: RunStore, commit_id: str, plan_hash: str | None) -> li
 @click.option("--threshold", default=5.0, show_default=True,
               help="Practical regression threshold, percent.")
 @click.option("--alpha", default=0.05, show_default=True,
-              help="Rank-sum significance level (>=3 repetitions per side).")
+              help="Exact rank-sum significance level (>=3 runs per side; min p 0.1 at 3, 0.029 at 4).")
 @click.option("--metrics", "metric_names", default=None,
               help="Comma-separated subset of monitored metrics.")
 @click.option("--format", "fmt", type=click.Choice(["json", "markdown"]), default="markdown")

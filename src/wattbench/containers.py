@@ -53,9 +53,6 @@ class CgroupV2Backend:
         matches = list(self.root.glob(f"**/*{container_id}*"))
         return matches[0] if matches else None
 
-    def exists(self, container_id: str) -> bool:
-        return self._container_dir(container_id) is not None
-
     def read(self, container_id: str) -> tuple[int, int]:
         cg = self._container_dir(container_id)
         if cg is None:
@@ -92,9 +89,6 @@ class ScriptedRegistry:
     def start(self, t0: float) -> None:
         self._t0 = t0
 
-    def exists(self, container_id: str) -> bool:
-        return container_id in self._rows
-
     def _row_at(self, container_id: str, t_ms: float) -> tuple[int, int, int]:
         rows = self._rows[container_id]
         idx = bisect.bisect_right([r[0] for r in rows], t_ms) - 1
@@ -127,10 +121,6 @@ class LiveRegistry:
     def register(self, container_id: str, stats_fn) -> None:
         with self._lock:
             self._stats[container_id] = stats_fn
-
-    def exists(self, container_id: str) -> bool:
-        with self._lock:
-            return container_id in self._stats
 
     def read(self, container_id: str) -> tuple[int, int]:
         with self._lock:

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 import requests
 
 from .errors import ConfigError, TargetDown
-from .metrics import Phase, PhaseMark, Sample, SampleSeries, classify, standard_phase_marks
+from .metrics import Phase, PhaseMark, Sample, SampleSeries, classify
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,6 @@ class RequestRecord:
 @dataclass
 class LoadResult:
     records: list[RequestRecord]
-    phase_marks: tuple[PhaseMark, ...]
-    duration_ms: int
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -200,7 +198,7 @@ def run_scenario(
         t.join()  # drains in-flight requests past the deadline
 
     records = sorted(sink, key=lambda r: (r.start_ms, r.user_index))
-    return LoadResult(records, standard_phase_marks(warmup_ms, duration_ms), duration_ms)
+    return LoadResult(records)
 
 
 def throughput_series(

@@ -43,10 +43,10 @@ class TestPlan:
     repetitions: int
     sampling_interval_ms: int
     cooldown_ms: int
-    scenario_ref: str
     scenario_text: str
     monitored_domains: tuple[str, ...]
     container_selector: str
+    scenario: lmod.Scenario = field(hash=False, compare=False)
     monitoring: dict = field(default_factory=dict, hash=False, compare=False)
     deploy: dict = field(default_factory=dict, hash=False, compare=False)
 
@@ -142,6 +142,10 @@ def load_test_plan(path: str) -> TestPlan:
         scenario_text = scenario_path.read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: scenario file unreadable: {exc}") from exc
+    try:
+        scenario = lmod.parse_scenario(scenario_text)
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"{scenario_path}: {exc}") from exc
 
     monitoring = dict(parser["monitoring"]) if "monitoring" in parser else {}
     domains = tuple(
@@ -161,10 +165,10 @@ def load_test_plan(path: str) -> TestPlan:
         repetitions=repetitions,
         sampling_interval_ms=sampling_interval_ms,
         cooldown_ms=cooldown_ms,
-        scenario_ref=str(scenario_path),
         scenario_text=scenario_text,
         monitored_domains=domains,
         container_selector=container_selector,
+        scenario=scenario,
         monitoring=monitoring,
         deploy=deploy,
     )
@@ -366,8 +370,6 @@ class Orchestrator:
         return amod.AgentClient(*server.start().address), server
 
     def execute_run(self, plan: TestPlan, sut: SutRef, repetition_index: int = 0) -> RunRecord:
-        # a bad scenario must fail before anything is deployed or started
-        scenario = lmod.parse_scenario(plan.scenario_text)
         run_id = f"{sut.commit_id}-r{repetition_index}-{uuid.uuid4().hex[:8]}"
         record = RunRecord(
             run_id=run_id,
@@ -395,14 +397,14 @@ class Orchestrator:
             try:
                 start_reply = client.start(run_id, config)
             except AgentError as exc:
-                return self._finish_invalid(record, f"agent_error: {exc.code}", files)
+                return self._finish_invalid(record, f"agent_error: {exc}", files)
             except OSError as exc:
                 return self._finish_invalid(record, f"agent_lost: {exc}", files)
             record.wall_clock_anchor = start_reply.get("anchor", "")
 
             try:
                 load_result = lmod.run_scenario(
-                    scenario,
+                    plan.scenario,
                     plan.users,
                     plan.duration_ms,
                     plan.warmup_ms,
@@ -422,7 +424,7 @@ class Orchestrator:
                 fetch_reply, payload = client.fetch(run_id)
                 agent_files = amod.verify_archive(fetch_reply["manifest"], payload)
             except AgentError as exc:
-                return self._finish_invalid(record, f"agent_error: {exc.code}", files)
+                return self._finish_invalid(record, f"agent_error: {exc}", files)
             except OSError as exc:
                 return self._finish_invalid(record, f"agent_lost: {exc}", files)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .agent import sha256_hex
 from .errors import CorruptRun, DuplicateRun, NotFound
 from .loadgen import RequestRecord, read_records_csv
-from .metrics import Phase, PhaseMark, Sample, read_samples_csv
+from .metrics import PhaseMark, Sample, read_samples_csv, standard_phase_marks
 from .power import CounterReading, DomainKind, EnergyDomain
 
 MANIFEST_NAME = "manifest.json"
@@ -52,10 +52,7 @@ class RunRecord:
         return self.status == "valid"
 
     def phase_marks(self) -> tuple[PhaseMark, PhaseMark]:
-        return (
-            PhaseMark(Phase.WARMUP, 0, self.warmup_ms),
-            PhaseMark(Phase.MEASUREMENT, self.warmup_ms, self.duration_ms),
-        )
+        return standard_phase_marks(self.warmup_ms, self.duration_ms)
 
 
 @dataclass

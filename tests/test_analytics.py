@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -9,6 +10,7 @@ from wattbench.analytics import (
     HARMFUL_DIRECTION,
     ComparisonPolicy,
     RunSummary,
+    _rank_sum_p,
     aggregate_run,
     combine_commit,
     compare,
@@ -261,6 +263,70 @@ class TestStatisticalGate:
         candidate = self._reps("v2", [1000.0, 1000.0, 1000.0])
         report = compare(baseline, candidate)
         assert report.per_metric["cpu_energy_j"].verdict == "unchanged"
+
+    def test_four_reps_full_separation_is_the_smallest_p(self):
+        # 2 / C(8, 4): only the two fully separated splits are as extreme
+        baseline = self._reps("v1", [1000.0, 1010.0, 990.0, 1005.0])
+        candidate = self._reps("v2", [1500.0, 1510.0, 1490.0, 1505.0])
+        m = compare(baseline, candidate).per_metric["cpu_energy_j"]
+        assert m.p_value == pytest.approx(2 / 70)
+        assert m.verdict == "regression"
+
+    def test_tied_throughputs_at_three_reps_cannot_reject(self):
+        # whole-second request counts tie; the exact test still cannot go
+        # below 2 / C(6, 3) = 0.1 at three runs per side
+        baseline = [make_summary(f"b{i}", "v1", tmean=18.0) for i in range(3)]
+        candidate = [make_summary(f"c{i}", "v2", tmean=14.0) for i in range(3)]
+        policy = ComparisonPolicy(metric_names=("throughput_mean_rps",))
+        report = compare(baseline, candidate, policy)
+        m = report.per_metric["throughput_mean_rps"]
+        assert m.p_value == pytest.approx(0.1)
+        assert m.verdict == "unchanged"
+        assert report.overall_verdict == "unchanged"
+
+
+def _brute_force_p(baseline, candidate):
+    """Share of all splits of the pooled values into sides of the observed
+    sizes whose Mann-Whitney U lies at least as far from its mean as the
+    observed U. U is counted pair by pair, a tie counting one half."""
+    pooled = baseline + candidate
+    k = len(baseline)
+
+    def twice_u(chosen):
+        xs = [pooled[i] for i in chosen]
+        ys = [pooled[i] for i in range(len(pooled)) if i not in chosen]
+        return sum(2 * (x > y) + (x == y) for x in xs for y in ys)
+
+    centre = k * len(candidate)
+    observed = abs(twice_u(set(range(k))) - centre)
+    splits = [set(c) for c in itertools.combinations(range(len(pooled)), k)]
+    return sum(abs(twice_u(c) - centre) >= observed for c in splits) / len(splits)
+
+
+class TestExactRankSum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3).map(float), min_size=1, max_size=6),
+        st.lists(st.integers(0, 3).map(float), min_size=1, max_size=6),
+    )
+    def test_matches_enumeration_over_all_splits_with_ties(self, b_vals, c_vals):
+        p = _rank_sum_p(b_vals, c_vals)
+        assert p == _brute_force_p(b_vals, c_vals)
+        assert p == _rank_sum_p(c_vals, b_vals)
+
+    def test_tie_free_small_samples_match_published_values(self):
+        def side(lo, n):
+            return [float(v) for v in range(lo, lo + n)]
+
+        assert _rank_sum_p(side(0, 3), side(3, 3)) == pytest.approx(0.1)
+        assert _rank_sum_p(side(0, 4), side(4, 4)) == pytest.approx(0.0286, abs=1e-4)
+        assert _rank_sum_p(side(0, 5), side(5, 5)) == pytest.approx(0.00794, abs=1e-5)
+        interleaved = _rank_sum_p([1000.0, 1200.0, 900.0, 1100.0],
+                                  [1060.0, 1210.0, 910.0, 1090.0])
+        assert interleaved == pytest.approx(0.8857, abs=1e-4)
+
+    def test_all_identical_values_give_one(self):
+        assert _rank_sum_p([5.0] * 3, [5.0] * 3) == 1.0
 
 
 class TestComparisonSymmetry:

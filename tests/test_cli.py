@@ -133,6 +133,25 @@ class TestRunCommand:
         report = run_cli("report", "rapl", "--store", str(store))
         assert report.returncode == 0, report.stderr
 
+    def test_agent_refusal_keeps_its_detail(self, tmp_path):
+        # the default domains ask for DRAM, which this powercap tree lacks
+        pkg = tmp_path / "powercap" / "intel-rapl:0"
+        pkg.mkdir(parents=True)
+        (pkg / "name").write_text("package-0\n")
+        (pkg / "energy_uj").write_text("1000\n")
+        (tmp_path / "scenario.ini").write_text(SCENARIO_TEXT)
+        (tmp_path / "plan.ini").write_text(
+            PLAN_TEXT + f"\n[monitoring]\npower_backend = rapl\nroot = {tmp_path / 'powercap'}\n"
+        )
+        store = tmp_path / "store"
+        result = run_cli("run", str(tmp_path / "plan.ini"), "--sut", "mock:v1",
+                         "--commit", "nodram", "--store", str(store))
+        reason = "agent_error: probe_unavailable: domain dram not available"
+        assert result.returncode == 2
+        assert reason in result.stderr
+        (meta,) = store.glob("nodram/*/*/meta.json")
+        assert json.loads(meta.read_text())["invalid_reason"] == reason
+
     def test_unknown_mock_profile_exits_two_before_deploying(self, workspace, tmp_path):
         result = run_cli(
             "run", str(workspace / "plan.ini"), "--sut", "mock:custom",
@@ -197,6 +216,61 @@ class TestCompareCommand:
             "--metrics", "disk_io",
         )
         assert result.returncode == 2
+
+
+@pytest.fixture(scope="module")
+def gate_store(tmp_path_factory):
+    """Short runs at 30 W and 36 W, at three and at four repetitions."""
+    root = tmp_path_factory.mktemp("gate")
+    (root / "scenario.ini").write_text(SCENARIO_TEXT)
+    store = root / "store"
+    for reps in (3, 4):
+        plan = root / f"plan{reps}.ini"
+        plan.write_text(
+            PLAN_TEXT.replace("repetitions = 1", f"repetitions = {reps}")
+            .replace("duration_ms = 1500", "duration_ms = 600")
+            .replace("warmup_ms = 300", "warmup_ms = 200")
+        )
+        for side, watts in (("base", 30.0), ("hot", 36.0)):
+            result = run_cli(
+                "run", str(plan), "--sut", "mock:v1", "--commit", f"{side}{reps}",
+                "--store", str(store),
+                "--simulate", str(_write_profile(root / f"profile-{watts}", watts)),
+            )
+            assert result.returncode == 0, result.stderr
+    return store
+
+
+class TestGateAtRecommendedRepetitions:
+    """The exact rank-sum test's smallest two-sided p is 2 / C(2n, n)."""
+
+    def test_three_repetitions_cannot_reach_alpha(self, gate_store):
+        result = run_cli("compare", "base3", "hot3", "--store", str(gate_store),
+                         "--metrics", "cpu_energy_j", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        m = json.loads(result.stdout)["per_metric"]["cpu_energy_j"]
+        assert m["p_value"] == pytest.approx(0.1)
+        assert m["verdict"] == "unchanged"
+
+    def test_four_repetitions_gate_fires_without_scipy(self, gate_store):
+        code = (
+            "import sys\n"
+            "from wattbench.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            "    print('scipy' in sys.modules, file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "compare", "base4", "hot4",
+             "--store", str(gate_store), "--metrics", "cpu_energy_j", "--format", "json"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        m = json.loads(result.stdout)["per_metric"]["cpu_energy_j"]
+        assert m["p_value"] == pytest.approx(2 / 70)
+        assert m["verdict"] == "regression"
+        assert result.stderr.splitlines()[-1] == "False"
 
 
 class TestReportCommand:

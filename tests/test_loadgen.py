@@ -84,7 +84,7 @@ class TestRunScenario:
         assert result.records, "expected at least one record"
         assert all(r.success for r in result.records)
         assert all(0 <= r.start_ms < 1500 for r in result.records)
-        warm_mark, meas_mark = result.phase_marks
+        warm_mark, meas_mark = standard_phase_marks(500, 1500)
         warm = [r for r in result.records if warm_mark.contains(r.start_ms)]
         meas = [r for r in result.records if meas_mark.contains(r.start_ms)]
         assert len(warm) + len(meas) == len(result.records)

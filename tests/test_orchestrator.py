@@ -71,6 +71,7 @@ class TestPlanLoading:
         assert plan.monitored_domains == ("cpu_package", "dram")
         assert plan.container_selector == "all"
         assert "[operation:login]" in plan.scenario_text
+        assert [op.name for op in plan.scenario.operations] == ["login"]
 
     def test_missing_mandatory_key_named_in_error(self, plan_dir):
         (plan_dir / "bad.ini").write_text("[plan]\nduration_ms = 1000\n"
@@ -87,6 +88,15 @@ class TestPlanLoading:
                                              "[scenario]\npath = gone.ini\n")
         with pytest.raises(ConfigError):
             load_test_plan(str(plan_dir / "orphan.ini"))
+
+    @pytest.mark.parametrize("text", [
+        "think_time_ms = 100\n",
+        "[scenario]\nthink_time_ms = abc\n[operation:login]\npath = /login\n",
+    ])
+    def test_malformed_scenario_rejected_at_load(self, plan_dir, text):
+        (plan_dir / "scenario.ini").write_text(text)
+        with pytest.raises(ConfigError, match="scenario.ini"):
+            load_test_plan(str(plan_dir / "plan.ini"))
 
     @pytest.mark.parametrize("override", [
         "users = 0",
@@ -250,10 +260,8 @@ class TestRemoteAgentLeftIdle:
 
     def test_scenario_without_operations_fails_before_start(self, plan_dir, store, agent):
         (plan_dir / "scenario.ini").write_text("[scenario]\nthink_time_ms = 100\n")
-        plan = load_test_plan(str(plan_dir / "plan.ini"))
-        orch = Orchestrator(store, agent_address=agent.address)
         with pytest.raises(ConfigError):
-            orch.execute_run(plan, parse_sut_spec("mock:v1", "commit-g"))
+            load_test_plan(str(plan_dir / "plan.ini"))
         assert AgentClient(*agent.address).health()["detail"] == "idle"
 
     def test_load_generator_crash_stops_the_session(self, plan, store, agent, monkeypatch):
